@@ -1,11 +1,12 @@
 """Average AoI / peak AoI analysis of a multi-user MEC offloading system.
 
 Library layout:
-    model     - system parameterization, derived rates, stability
-    analytic  - closed-form average AoI / PAoI, bounds, optimal ratio
-    simulate  - discrete-event-equivalent tandem FCFS simulator + estimators
-    optimize  - offloading-ratio search and scheme comparison
-    cli       - command-line front end (analytic / sweep / validate / optimize)
+    model      - system parameterization, derived rates, stability
+    analytic   - closed-form average AoI / PAoI, bounds, optimal ratio
+    simulate   - discrete-event-equivalent tandem FCFS simulator + estimators
+    optimize   - offloading-ratio search and scheme comparison
+    validation - simulation vs closed forms, term by term
+    cli        - command-line front end (analytic / sweep / validate / optimize)
 """
 
 from .model import (
@@ -50,7 +51,7 @@ from .optimize import (
     search_p,
     stable_p_interval,
 )
-from .cli import run_validation
+from .validation import run_validation
 
 __all__ = [
     "LOCAL",

@@ -1,15 +1,24 @@
 """Closed-form average AoI and peak AoI for the three computing schemes.
 
-The average peak AoI of a UE decomposes into the mean inter-generation gap
-plus the mean per-stage system times, which for stable M/M/1 stages gives
-the short formula 1/lambda_n + 1/(mu_B'-lambda) + 1/(mu_D-lambda)
-+ 1/(mu_n'-lambda_n); it is exact. The average AoI additionally carries
-correlation terms lambda_n * E[Y_j W] between the inter-generation gap Y_j
-and the per-stage waiting times W.
+The three schemes are one tandem: edge computation, then transmission,
+then local computation. Local (p = 0) and edge (p = 1) computing only turn
+one stage into a pass-through of rate +inf. For UE n, summing over the
+stages k, with mu_k a stage's effective service rate and lambda_k its
+arrival rate (lambda at the shared edge and transmission queues, lambda_n
+at the UE's own local queue):
 
-The edge-stage term E[Y_j W_edge] is exact for any N: the edge queue is the
-first stage of the tandem, a multi-source FCFS M/M/1 queue, and the term
-follows from its transient workload transform (_e_yw_first_stage).
+    PAoI_n = 1/lambda_n + sum_k 1/(mu_k - lambda_k)
+    AoI_n  = 1/lambda_n + sum_k 1/mu_k + lambda_n sum_k E[Y_j W_k]
+
+Y_j is the inter-generation gap and W_k the waiting time at stage k. A
+pass-through stage contributes 0 to every sum: 1/inf == 0, and it has no
+waiting time. system_metrics is these two lines; _e_yw_stages is the one
+place that chooses the form of each E[Y_j W_k].
+
+The PAoI identity is exact for stable M/M/1 stages. The edge-stage term
+E[Y_j W_edge] is exact for any N: the edge queue is the first stage of the
+tandem, a multi-source FCFS M/M/1 queue, and the term follows from its
+transient workload transform (_e_yw_first_stage).
 
 The transmission- and local-stage terms split, per stage, into two
 contributions conditioned on whether the packet catches up with its
@@ -29,9 +38,6 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    EDGE,
-    LOCAL,
-    PARTIAL,
     DerivedRates,
     NotHomogeneous,
     Scheme,
@@ -315,176 +321,47 @@ def phi_terms_edge(rates: DerivedRates, ue_index: int) -> PhiTerms:
 
 
 # ---------------------------------------------------------------------------
-# Per-UE closed forms.
-# ---------------------------------------------------------------------------
-
-
-def _require_scheme(cfg: SystemConfig, kind: str, op: str) -> None:
-    if cfg.scheme.kind != kind:
-        raise ValueError(f"{op} applies to the {kind} scheme, got {cfg.scheme.kind}")
-
-
-def avg_paoi_partial(cfg: SystemConfig, ue_index: int) -> float:
-    """Average peak AoI of one UE under partial offloading."""
-    _require_scheme(cfg, PARTIAL, "avg_paoi_partial")
-    require_stable(cfg)
-    rates = derive_rates(cfg)
-    ln = cfg.gen_rates[ue_index]
-    lam = rates.total_gen
-    return (1.0 / ln
-            + 1.0 / (rates.eff_edge - lam)
-            + 1.0 / (cfg.tx_rate - lam)
-            + 1.0 / (rates.eff_local[ue_index] - ln))
-
-
-def avg_aoi_partial(cfg: SystemConfig, ue_index: int) -> float:
-    """Average AoI of one UE under partial offloading (0 < p < 1)."""
-    _require_scheme(cfg, PARTIAL, "avg_aoi_partial")
-    if not 0.0 < cfg.scheme.p < 1.0:
-        raise ValueError("avg_aoi_partial needs 0 < p < 1; "
-                         "boundary ratios dispatch to the local/edge forms")
-    require_stable(cfg)
-    rates = derive_rates(cfg)
-    ln = cfg.gen_rates[ue_index]
-    lo = rates.others_gen[ue_index]
-    a = rates.eff_edge
-    d = cfg.tx_rate
-    u = rates.eff_local[ue_index]
-    phi = phi_terms_partial(rates, ue_index)
-    return (1.0 / ln + 1.0 / a + 1.0 / d + 1.0 / u
-            + ln * _e_yw_first_stage(ln, lo, a)
-            + ln * phi.total())
-
-
-def avg_paoi_local(cfg: SystemConfig, ue_index: int) -> float:
-    """Average peak AoI of one UE with all computation done locally."""
-    _require_scheme(cfg, LOCAL, "avg_paoi_local")
-    require_stable(cfg)
-    rates = derive_rates(cfg)
-    ln = cfg.gen_rates[ue_index]
-    return (1.0 / ln
-            + 1.0 / (cfg.tx_rate - rates.total_gen)
-            + 1.0 / (cfg.local_rates[ue_index] - ln))
-
-
-def avg_aoi_local(cfg: SystemConfig, ue_index: int) -> float:
-    """Average AoI of one UE with all computation done locally."""
-    _require_scheme(cfg, LOCAL, "avg_aoi_local")
-    require_stable(cfg)
-    rates = derive_rates(cfg)
-    ln = cfg.gen_rates[ue_index]
-    lo = rates.others_gen[ue_index]
-    lam = rates.total_gen
-    d = cfg.tx_rate
-    u = cfg.local_rates[ue_index]
-    return (1.0 / ln + 1.0 / d + 1.0 / u
-            + lo / (d * (d - lo))
-            + ln ** 2 * lo / (d * (d - lo) ** 3)
-            + ln ** 2 / ((d - lam) * (d - lo) ** 2)
-            + ln ** 2 * (d + u - ln) / (d * (u - ln) * (d + u - lam) ** 2)
-            + ln ** 2 * (d - lam) * (d + u - lo)
-            / (u ** 2 * (d - lo) * (u - ln) * (d + u - lam)))
-
-
-def avg_paoi_edge(cfg: SystemConfig, ue_index: int) -> float:
-    """Average peak AoI of one UE with all computation at the edge server."""
-    _require_scheme(cfg, EDGE, "avg_paoi_edge")
-    require_stable(cfg)
-    lam = derive_rates(cfg).total_gen
-    return (1.0 / cfg.gen_rates[ue_index]
-            + 1.0 / (cfg.edge_rate - lam)
-            + 1.0 / (cfg.tx_rate - lam))
-
-
-def avg_aoi_edge(cfg: SystemConfig, ue_index: int) -> float:
-    """Average AoI of one UE with all computation at the edge server."""
-    _require_scheme(cfg, EDGE, "avg_aoi_edge")
-    require_stable(cfg)
-    rates = derive_rates(cfg)
-    ln = cfg.gen_rates[ue_index]
-    lo = rates.others_gen[ue_index]
-    a = cfg.edge_rate
-    d = cfg.tx_rate
-    phi = phi_terms_edge(rates, ue_index)
-    return (1.0 / ln + 1.0 / a + 1.0 / d
-            + ln * _e_yw_first_stage(ln, lo, a)
-            + ln * (phi.phi_bjd + phi.phi_ljd))
-
-
-def system_metrics(cfg: SystemConfig) -> AoiMetrics:
-    """Per-UE and system-averaged AoI / peak AoI for any scheme."""
-    cfg = normalize_scheme(cfg)
-    require_stable(cfg)
-    kind = cfg.scheme.kind
-    if kind == LOCAL:
-        aoi_fn, paoi_fn = avg_aoi_local, avg_paoi_local
-    elif kind == EDGE:
-        aoi_fn, paoi_fn = avg_aoi_edge, avg_paoi_edge
-    else:
-        aoi_fn, paoi_fn = avg_aoi_partial, avg_paoi_partial
-    aoi = tuple(aoi_fn(cfg, n) for n in range(cfg.num_ues))
-    paoi = tuple(paoi_fn(cfg, n) for n in range(cfg.num_ues))
-    return AoiMetrics(
-        per_ue_aoi=aoi,
-        per_ue_paoi=paoi,
-        system_aoi=math.fsum(aoi) / cfg.num_ues,
-        system_paoi=math.fsum(paoi) / cfg.num_ues,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Correlation expectations E[Y_j W] per stage. These are the targets the
-# simulator's estimators are validated against. The edge-stage one is exact
-# for any N (_e_yw_first_stage). The transmission- and local-stage ones (the
-# phi sums, and the local scheme's first-stage transmission term,
-# _e_yw_first_order) are exact for N = 1 and first-order for N > 1.
+# simulator's estimators are validated against.
 # ---------------------------------------------------------------------------
 
 
-def e_yw_edge(cfg: SystemConfig, ue_index: int) -> float:
-    """E[Y_j W_edge] for one UE (0 for the local scheme's pass-through)."""
-    cfg = normalize_scheme(cfg)
-    if cfg.scheme.kind == LOCAL:
-        return 0.0
-    rates = derive_rates(cfg)
-    return _e_yw_first_stage(cfg.gen_rates[ue_index],
-                             rates.others_gen[ue_index], rates.eff_edge)
+def _e_yw_stages(rates: DerivedRates, ue_index: int, ln: float) -> tuple[float, float, float]:
+    """(E[Y_j W_edge], E[Y_j W_tx], E[Y_j W_local]) of one UE.
 
-
-def e_yw_tx(cfg: SystemConfig, ue_index: int) -> float:
-    """E[Y_j W_tx] for one UE, any scheme."""
-    cfg = normalize_scheme(cfg)
-    rates = derive_rates(cfg)
-    if cfg.scheme.kind == LOCAL:
-        # The transmission queue is the first stage; see _e_yw_first_order
-        # for why it does not use the exact _e_yw_first_stage.
-        return _e_yw_first_order(cfg.gen_rates[ue_index],
-                                 rates.others_gen[ue_index], rates.total_gen,
-                                 cfg.tx_rate)
-    if cfg.scheme.kind == EDGE:
+    The one place that picks each stage's form. The scheme is read from
+    the pass-through stage (rate +inf), whose entry is 0. ln is the UE's
+    own generation rate: rates.gen_rate() recovers it as a difference,
+    which loses digits when ln << lambda.
+    """
+    a = rates.eff_edge
+    lo = rates.others_gen[ue_index]
+    if math.isinf(a):
+        # Local scheme: the transmission queue is the first stage; see
+        # _e_yw_first_order for why it does not use _e_yw_first_stage.
+        lam = rates.total_gen
+        d = rates.tx_rate
+        u = rates.eff_local[ue_index]
+        local = (ln * (d + u - ln) / (d * (u - ln) * (d + u - lam) ** 2)
+                 + ln * (d - lam) * (d + u - lo)
+                 / (u ** 2 * (d - lo) * (u - ln) * (d + u - lam)))
+        return (0.0, _e_yw_first_order(ln, lo, lam, d), local)
+    if math.isinf(rates.eff_local[ue_index]):
         phi = phi_terms_edge(rates, ue_index)
     else:
         phi = phi_terms_partial(rates, ue_index)
-    return phi.phi_bjd + phi.phi_ljd
+    return (_e_yw_first_stage(ln, lo, a),
+            phi.phi_bjd + phi.phi_ljd,
+            phi.phi_bju + phi.phi_lju)
 
 
-def e_yw_local(cfg: SystemConfig, ue_index: int) -> float:
-    """E[Y_j W_local] for one UE (0 for the edge scheme's pass-through)."""
-    cfg = normalize_scheme(cfg)
-    if cfg.scheme.kind == EDGE:
-        return 0.0
-    rates = derive_rates(cfg)
-    if cfg.scheme.kind == LOCAL:
-        ln = cfg.gen_rates[ue_index]
-        lo = rates.others_gen[ue_index]
-        lam = rates.total_gen
-        d = cfg.tx_rate
-        u = cfg.local_rates[ue_index]
-        return (ln * (d + u - ln) / (d * (u - ln) * (d + u - lam) ** 2)
-                + ln * (d - lam) * (d + u - lo)
-                / (u ** 2 * (d - lo) * (u - ln) * (d + u - lam)))
-    phi = phi_terms_partial(rates, ue_index)
-    return phi.phi_bju + phi.phi_lju
+def e_yw(cfg: SystemConfig, ue_index: int) -> tuple[float, float, float]:
+    """(E[Y_j W_edge], E[Y_j W_tx], E[Y_j W_local]) of one UE, any scheme.
+
+    A pass-through stage's entry is 0. The order is that of
+    e_yw_lower_bounds.
+    """
+    return _e_yw_stages(derive_rates(cfg), ue_index, cfg.gen_rates[ue_index])
 
 
 def e_yw_lower_bounds(cfg: SystemConfig, ue_index: int) -> tuple[float, float, float]:
@@ -492,19 +369,47 @@ def e_yw_lower_bounds(cfg: SystemConfig, ue_index: int) -> tuple[float, float, f
 
     The edge-stage entry is the exact expectation itself. The other two
     are bounded from below by letting the upstream stages become
-    instantaneous; they bound the closed forms e_yw_tx / e_yw_local, which
-    are exact for N = 1 and first-order approximations for N > 1.
+    instantaneous; they bound the closed forms in e_yw, which are exact
+    for N = 1 and first-order approximations for N > 1.
     """
     rates = derive_rates(cfg)
     ln = cfg.gen_rates[ue_index]
-    lo = rates.others_gen[ue_index]
-    lam = rates.total_gen
-    d = cfg.tx_rate
     u = rates.eff_local[ue_index]
-    b_edge = e_yw_edge(cfg, ue_index)
-    b_tx = _e_yw_first_order(ln, lo, lam, d)
+    b_edge = _e_yw_stages(rates, ue_index, ln)[0]
+    b_tx = _e_yw_first_order(ln, rates.others_gen[ue_index], rates.total_gen, rates.tx_rate)
     b_local = 0.0 if math.isinf(u) else 1.0 / (u * (u - ln)) - 1.0 / u ** 2
     return (b_edge, b_tx, b_local)
+
+
+# ---------------------------------------------------------------------------
+# Per-UE and system closed forms.
+# ---------------------------------------------------------------------------
+
+
+def _paoi(ln, lam, a, d, u):
+    """PAoI_n = 1/lambda_n + sum_k 1/(mu_k - lambda_k); a pass-through adds 0."""
+    return 1.0 / ln + 1.0 / (a - lam) + 1.0 / (d - lam) + 1.0 / (u - ln)
+
+
+def system_metrics(cfg: SystemConfig) -> AoiMetrics:
+    """Per-UE and system-averaged AoI / peak AoI for any scheme."""
+    require_stable(cfg)
+    rates = derive_rates(cfg)
+    lam = rates.total_gen
+    a = rates.eff_edge
+    d = rates.tx_rate
+    aoi, paoi = [], []
+    for n, (ln, u) in enumerate(zip(cfg.gen_rates, rates.eff_local)):
+        yw_edge, yw_tx, yw_local = _e_yw_stages(rates, n, ln)
+        aoi.append(1.0 / ln + 1.0 / a + 1.0 / d + 1.0 / u
+                   + ln * (yw_edge + yw_tx + yw_local))
+        paoi.append(_paoi(ln, lam, a, d, u))
+    return AoiMetrics(
+        per_ue_aoi=tuple(aoi),
+        per_ue_paoi=tuple(paoi),
+        system_aoi=math.fsum(aoi) / cfg.num_ues,
+        system_paoi=math.fsum(paoi) / cfg.num_ues,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +430,7 @@ def aoi_bounds(cfg: SystemConfig) -> AoiBounds:
     d = cfg.tx_rate
     u = rates.eff_local[0]
     # Effective-rate limits make the corresponding terms vanish at p = 0 / 1.
-    omega = 1.0 / lh + 1.0 / (a - lam) + 1.0 / (d - lam) + 1.0 / (u - lh)
+    omega = _paoi(lh, lam, a, d, u)
     gap = (lh / (a - lo) ** 2
            + lh / (d - lo) ** 2
            + lh / u ** 2

@@ -45,6 +45,7 @@ from .model import (
     require_stable,
 )
 from .simulate import DivergenceWarning, SimParams, simulate_mec
+from .validation import run_validation
 
 DEFAULT_SEED = 12345
 DEFAULT_PACKETS = 20_000
@@ -492,73 +493,6 @@ def _write_rows(path, rows):
         fh.write(",".join(RESULT_HEADER) + "\n")
         for row in rows:
             fh.write(",".join(row.cells()) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Validation: simulation vs analytic, term by term.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationRow:
-    name: str
-    analytic: float
-    estimate: float
-    se: float
-    z: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    rows: tuple
-    passed: bool
-
-
-def _compare(name, expected, est) -> ValidationRow:
-    if est.se == 0.0:
-        exact = est.value == expected
-        z = 0.0 if exact else math.copysign(math.inf, est.value - expected)
-        return ValidationRow(name, expected, est.value, 0.0, z, exact)
-    z = (est.value - expected) / est.se
-    return ValidationRow(name, expected, est.value, est.se, z, abs(z) <= 3.0)
-
-
-def run_validation(cfg: SystemConfig, params: SimParams, overrides=None) -> ValidationReport:
-    """Simulate cfg and compare every closed-form quantity at 3 standard errors.
-
-    overrides maps a row name (e.g. "yw_tx[0]") to a replacement analytic
-    value; it exists so tests can corrupt one constant and watch the
-    comparison fail.
-    """
-    require_stable(cfg)
-    if params.replications < 2:
-        raise InvalidParams("validation needs at least 2 replications for standard errors")
-    overrides = dict(overrides or {})
-
-    params = replace(params, record_correlations=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DivergenceWarning)
-        result = simulate_mec(cfg, params)
-
-    metrics = analytic.system_metrics(cfg)
-    planned = [
-        ("system_aoi", metrics.system_aoi, result.system_aoi),
-        ("system_paoi", metrics.system_paoi, result.system_paoi),
-    ]
-    corr = result.correlations
-    for n in range(cfg.num_ues):
-        planned.append((f"yw_edge[{n}]", analytic.e_yw_edge(cfg, n), corr.yw_edge[n]))
-        planned.append((f"yw_tx[{n}]", analytic.e_yw_tx(cfg, n), corr.yw_tx[n]))
-        planned.append((f"yw_local[{n}]", analytic.e_yw_local(cfg, n), corr.yw_local[n]))
-
-    rows = []
-    for name, expected, est in planned:
-        expected = overrides.pop(name, expected)
-        rows.append(_compare(name, expected, est))
-    if overrides:
-        raise ValueError(f"overrides name unknown terms: {sorted(overrides)}")
-    return ValidationReport(tuple(rows), all(row.ok for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,17 @@ class TestWorkedValues:
     def test_paoi_partial(self):
         # 1/0.1 + 1/(2-0.2) + 1/(2-0.2) + 1/(1-0.1) = 10 + 1/1.8 + 1/1.8 + 1/0.9
         cfg = homog(2, 0.1, 1.0, 2.0, 0.5, Scheme.partial(0.5))
-        assert an.avg_paoi_partial(cfg, 0) == pytest.approx(12.222222, rel=1e-6)
+        assert an.system_metrics(cfg).per_ue_paoi[0] == pytest.approx(12.222222, rel=1e-6)
 
     def test_paoi_local(self):
         # 1/0.5 + 1/(2-0.5) + 1/(1-0.5) = 2 + 2/3 + 2
         cfg = homog(1, 0.5, 1.0, 2.0, 1.0, Scheme.local())
-        assert an.avg_paoi_local(cfg, 0) == pytest.approx(4.666667, rel=1e-6)
+        assert an.system_metrics(cfg).per_ue_paoi[0] == pytest.approx(4.666667, rel=1e-6)
 
     def test_paoi_edge(self):
         # 1/0.1 + 1/(1-0.6) + 1/(3-0.6) = 10 + 2.5 + 5/12
         cfg = homog(6, 0.1, 1.0, 3.0, 0.2, Scheme.edge())
-        assert an.avg_paoi_edge(cfg, 0) == pytest.approx(12.916667, rel=1e-6)
+        assert an.system_metrics(cfg).per_ue_paoi[0] == pytest.approx(12.916667, rel=1e-6)
 
     def test_bounds_worked(self):
         # gap = 2*(0.1/1.9^2) + 0.1/1^2 - 2*(0.01*0.1/(2*1.9^3))
@@ -116,18 +116,18 @@ class TestReductions:
     def test_local_aoi_collapses_to_mm1(self, lam, mu):
         # transmission stage made negligible: only the local M/M/1 remains
         cfg = homog(1, lam, 1.0, HUGE, mu, Scheme.local())
-        assert an.avg_aoi_local(cfg, 0) == pytest.approx(mm1_aoi(lam, mu), rel=1e-6)
+        assert an.system_metrics(cfg).per_ue_aoi[0] == pytest.approx(mm1_aoi(lam, mu), rel=1e-6)
 
     @pytest.mark.parametrize("lam,mu", [(0.5, 1.0), (0.3, 2.0)])
     def test_edge_aoi_collapses_to_mm1(self, lam, mu):
         # exercises the correlation terms on the edge path as well
         cfg = homog(1, lam, mu, HUGE, 0.1, Scheme.edge())
-        assert an.avg_aoi_edge(cfg, 0) == pytest.approx(mm1_aoi(lam, mu), rel=1e-6)
+        assert an.system_metrics(cfg).per_ue_aoi[0] == pytest.approx(mm1_aoi(lam, mu), rel=1e-6)
 
     def test_local_paoi_collapses_to_mm1(self):
         cfg = homog(1, 0.5, 1.0, HUGE, 1.0, Scheme.local())
         # 1/lambda + 1/(mu - lambda) = 2 + 2 = 4
-        assert an.avg_paoi_local(cfg, 0) == pytest.approx(4.0, rel=1e-6)
+        assert an.system_metrics(cfg).per_ue_paoi[0] == pytest.approx(4.0, rel=1e-6)
 
     def test_partial_collapses_to_two_stage_tandem(self):
         # mu_D negligible: partial(p=0.5, mu_B=1, mu_n=0.4) is the tandem
@@ -135,27 +135,27 @@ class TestReductions:
         # expresses with its two stages -- independent transcriptions.
         cfg_p = homog(1, 0.3, 1.0, HUGE, 0.4, Scheme.partial(0.5))
         cfg_t = homog(1, 0.3, 123.0, 2.0, 0.8, Scheme.local())
-        assert an.avg_aoi_partial(cfg_p, 0) == pytest.approx(
-            an.avg_aoi_local(cfg_t, 0), rel=1e-6)
+        assert an.system_metrics(cfg_p).per_ue_aoi[0] == pytest.approx(
+            an.system_metrics(cfg_t).per_ue_aoi[0], rel=1e-6)
 
     def test_partial_collapses_to_edge_scheme(self):
         # local stage negligible: partial(p=0.5, mu_B=1) matches the edge
         # scheme at mu_B=2 including the multi-UE correlation terms.
         cfg_p = homog(4, 0.1, 1.0, 1.7, 0.5 * HUGE, Scheme.partial(0.5))
         cfg_e = homog(4, 0.1, 2.0, 1.7, 0.2, Scheme.edge())
-        assert an.avg_aoi_partial(cfg_p, 0) == pytest.approx(
-            an.avg_aoi_edge(cfg_e, 0), rel=1e-6)
+        assert an.system_metrics(cfg_p).per_ue_aoi[0] == pytest.approx(
+            an.system_metrics(cfg_e).per_ue_aoi[0], rel=1e-6)
 
     def test_limit_consistency_p_to_0_and_1(self):
         base = homog(6, 0.1, 1.5, 1.8, 0.25, Scheme.partial(0.5))
-        loc = an.avg_aoi_local(base.with_scheme(Scheme.local()), 0)
-        edg = an.avg_aoi_edge(base.with_scheme(Scheme.edge()), 0)
+        loc = an.system_metrics(base.with_scheme(Scheme.local())).per_ue_aoi[0]
+        edg = an.system_metrics(base.with_scheme(Scheme.edge())).per_ue_aoi[0]
         lo_gaps, hi_gaps = [], []
         for eps in (1e-4, 1e-5, 1e-6):
-            lo_gaps.append(abs(
-                an.avg_aoi_partial(base.with_scheme(Scheme.partial(eps)), 0) - loc))
-            hi_gaps.append(abs(
-                an.avg_aoi_partial(base.with_scheme(Scheme.partial(1 - eps)), 0) - edg))
+            lo_gaps.append(abs(an.system_metrics(
+                base.with_scheme(Scheme.partial(eps))).per_ue_aoi[0] - loc))
+            hi_gaps.append(abs(an.system_metrics(
+                base.with_scheme(Scheme.partial(1 - eps))).per_ue_aoi[0] - edg))
         assert lo_gaps[0] > lo_gaps[1] > lo_gaps[2]
         assert hi_gaps[0] > hi_gaps[1] > hi_gaps[2]
         assert lo_gaps[2] < 1e-3 * loc and hi_gaps[2] < 1e-3 * edg
@@ -164,11 +164,25 @@ class TestReductions:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition consistency: AoI = 1/lambda_n + sum 1/mu + lambda_n * sum E[YW].
-# The compact E[YW] forms are transcribed separately from the AoI formulas,
-# so agreement is a genuine cross-check; the exception is the edge-stage
-# term, which both share and TestFirstStageTerm checks on its own.
+# Decomposition: AoI = 1/lambda_n + sum 1/mu + lambda_n * sum E[YW].
+# system_metrics is built on this identity, so for the partial and edge
+# schemes these tests check only that it is applied to the per-stage
+# terms. The local scheme's AoI was also transcribed on its own, as one
+# expression (local_scheme_aoi), so test_local is a genuine cross-check of
+# its two E[YW] forms.
 # ---------------------------------------------------------------------------
+
+
+def local_scheme_aoi(ln, lo, d, u):
+    """Average AoI of one UE under the local scheme, transcribed as a whole."""
+    lam = ln + lo
+    return (1.0 / ln + 1.0 / d + 1.0 / u
+            + lo / (d * (d - lo))
+            + ln ** 2 * lo / (d * (d - lo) ** 3)
+            + ln ** 2 / ((d - lam) * (d - lo) ** 2)
+            + ln ** 2 * (d + u - ln) / (d * (u - ln) * (d + u - lam) ** 2)
+            + ln ** 2 * (d - lam) * (d + u - lo)
+            / (u ** 2 * (d - lo) * (u - ln) * (d + u - lam)))
 
 
 class TestDecomposition:
@@ -176,30 +190,30 @@ class TestDecomposition:
         cfg = homog(5, 0.08, 1.2, 1.5, 0.3, Scheme.partial(0.6))
         r = derive_rates(cfg)
         expected = (1 / 0.08 + 1 / r.eff_edge + 1 / cfg.tx_rate + 1 / r.eff_local[0]
-                    + 0.08 * (an.e_yw_edge(cfg, 0) + an.e_yw_tx(cfg, 0)
-                              + an.e_yw_local(cfg, 0)))
-        assert an.avg_aoi_partial(cfg, 0) == pytest.approx(expected, rel=1e-12)
+                    + 0.08 * sum(an.e_yw(cfg, 0)))
+        assert an.system_metrics(cfg).per_ue_aoi[0] == pytest.approx(expected, rel=1e-12)
 
     def test_local(self):
         cfg = homog(5, 0.08, 1.2, 1.5, 0.3, Scheme.local())
-        expected = (1 / 0.08 + 1 / 1.5 + 1 / 0.3
-                    + 0.08 * (an.e_yw_tx(cfg, 0) + an.e_yw_local(cfg, 0)))
-        assert an.avg_aoi_local(cfg, 0) == pytest.approx(expected, rel=1e-12)
-        assert an.e_yw_edge(cfg, 0) == 0.0
+        yw_edge, yw_tx, yw_local = an.e_yw(cfg, 0)
+        expected = (1 / 0.08 + 1 / 1.5 + 1 / 0.3 + 0.08 * (yw_tx + yw_local))
+        oracle = local_scheme_aoi(0.08, 4 * 0.08, 1.5, 0.3)
+        assert oracle == pytest.approx(expected, rel=1e-12)
+        assert an.system_metrics(cfg).per_ue_aoi[0] == pytest.approx(oracle, rel=1e-12)
+        assert yw_edge == 0.0
 
     def test_edge(self):
         cfg = homog(5, 0.08, 1.2, 1.5, 0.3, Scheme.edge())
-        expected = (1 / 0.08 + 1 / 1.2 + 1 / 1.5
-                    + 0.08 * (an.e_yw_edge(cfg, 0) + an.e_yw_tx(cfg, 0)))
-        assert an.avg_aoi_edge(cfg, 0) == pytest.approx(expected, rel=1e-12)
-        assert an.e_yw_local(cfg, 0) == 0.0
+        yw_edge, yw_tx, yw_local = an.e_yw(cfg, 0)
+        expected = (1 / 0.08 + 1 / 1.2 + 1 / 1.5 + 0.08 * (yw_edge + yw_tx))
+        assert an.system_metrics(cfg).per_ue_aoi[0] == pytest.approx(expected, rel=1e-12)
+        assert yw_local == 0.0
 
     @given(cfg=stable_partial)
     @settings(max_examples=100, deadline=None)
     def test_lower_bounds_lie_below_exact(self, cfg):
         lbs = an.e_yw_lower_bounds(cfg, 0)
-        exact = (an.e_yw_edge(cfg, 0), an.e_yw_tx(cfg, 0), an.e_yw_local(cfg, 0))
-        for lb, ex in zip(lbs, exact):
+        for lb, ex in zip(lbs, an.e_yw(cfg, 0)):
             assert lb <= ex + 1e-9 * abs(ex)
 
 
@@ -245,7 +259,7 @@ class TestFirstStageTerm:
             ln = lam * share
             cfg = SystemConfig(2, (ln, lam - ln), a, 2.0 * a, (1.0, 1.0),
                                Scheme.edge())
-            got = an.e_yw_edge(cfg, 0)
+            got = an.e_yw(cfg, 0)[0]
             want = first_stage_reference(ln, derive_rates(cfg).others_gen[0], a)
             worst = max(worst, abs(got - want) / want)
         assert worst < 1e-10
@@ -257,7 +271,7 @@ class TestFirstStageTerm:
         # E[Y (T - Y)^+] with T ~ Exp(a - lam), Y ~ Exp(lam), a = mu_b / p
         cfg = homog(1, lam, mu_b, 5.0, 4.0, Scheme.partial(p))
         a = mu_b / p
-        assert an.e_yw_edge(cfg, 0) == pytest.approx(
+        assert an.e_yw(cfg, 0)[0] == pytest.approx(
             lam / (a ** 2 * (a - lam)), rel=1e-12)
 
 
@@ -307,40 +321,40 @@ class TestSingularityPolicy:
         # eff_edge == tx_rate exactly (mu_B = p * mu_D)
         base = dict(n=6, lam_h=0.1, mu_d=1.8, mu_h=0.25, p=0.5)
         cfg0 = homog(6, 0.1, 0.9, 1.8, 0.25, Scheme.partial(0.5))
-        v0 = an.avg_aoi_partial(cfg0, 0)
+        v0 = an.system_metrics(cfg0).per_ue_aoi[0]
         for sign in (+1, -1):
             cfg1 = homog(6, 0.1, 0.9 * (1 + sign * 1e-6), 1.8, 0.25,
                          Scheme.partial(0.5))
-            v1 = an.avg_aoi_partial(cfg1, 0)
+            v1 = an.system_metrics(cfg1).per_ue_aoi[0]
             assert v0 == pytest.approx(v1, rel=1e-4)
 
     def test_edge_scheme_singularity(self):
         # mu_B == mu_D for the edge scheme; compare the two perturbed sides
         cfg_hi = homog(1, 0.5, 2.0, 2.0 + 1e-6, 0.1, Scheme.edge())
         cfg_lo = homog(1, 0.5, 2.0, 2.0 - 1e-6, 0.1, Scheme.edge())
-        v_hi = an.avg_aoi_edge(cfg_hi, 0)
-        v_lo = an.avg_aoi_edge(cfg_lo, 0)
+        v_hi = an.system_metrics(cfg_hi).per_ue_aoi[0]
+        v_lo = an.system_metrics(cfg_lo).per_ue_aoi[0]
         assert v_hi == pytest.approx(v_lo, rel=1e-4)
         cfg_on = homog(1, 0.5, 2.0, 2.0, 0.1, Scheme.edge())
-        assert an.avg_aoi_edge(cfg_on, 0) == pytest.approx(v_hi, rel=1e-4)
+        assert an.system_metrics(cfg_on).per_ue_aoi[0] == pytest.approx(v_hi, rel=1e-4)
 
     def test_second_denominator_coincidence(self):
         # eff_edge == eff_local + others  (a - u - lo = 0)
         # N=2, p=0.5: a = 2*mu_B, u = 2*mu_h, lo = lam_h
         # pick mu_B = 1, lam_h = 0.2 -> a = 2; mu_h = 0.9 -> u = 1.8, u+lo = 2
         cfg = homog(2, 0.2, 1.0, 3.0, 0.9, Scheme.partial(0.5))
-        v = an.avg_aoi_partial(cfg, 0)
+        v = an.system_metrics(cfg).per_ue_aoi[0]
         assert math.isfinite(v)
         cfg_near = homog(2, 0.2, 1.0 * (1 + 1e-5), 3.0, 0.9, Scheme.partial(0.5))
-        assert v == pytest.approx(an.avg_aoi_partial(cfg_near, 0), rel=1e-3)
+        assert v == pytest.approx(an.system_metrics(cfg_near).per_ue_aoi[0], rel=1e-3)
 
     def test_third_denominator_coincidence(self):
         # tx_rate == eff_local + others  (d - u - lo = 0)
         cfg = homog(2, 0.2, 1.5, 2.0, 0.9, Scheme.partial(0.5))
-        v = an.avg_aoi_partial(cfg, 0)
+        v = an.system_metrics(cfg).per_ue_aoi[0]
         assert math.isfinite(v)
         cfg_near = homog(2, 0.2, 1.5, 2.0 * (1 + 1e-5), 0.9, Scheme.partial(0.5))
-        assert v == pytest.approx(an.avg_aoi_partial(cfg_near, 0), rel=1e-3)
+        assert v == pytest.approx(an.system_metrics(cfg_near).per_ue_aoi[0], rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +373,14 @@ class TestBounds:
 
     def test_bracket_on_named_config(self):
         cfg = homog(4, 0.25, 1.5, 2.0, 0.6, Scheme.partial(0.5))
-        aoi = an.avg_aoi_partial(cfg, 0)
+        aoi = an.system_metrics(cfg).per_ue_aoi[0]
         b = an.aoi_bounds(cfg)
         assert b.lower <= aoi <= b.upper
 
     @given(cfg=stable_partial)
     @settings(max_examples=150, deadline=None)
     def test_bracket_random(self, cfg):
-        aoi = an.avg_aoi_partial(cfg, 0)
+        aoi = an.system_metrics(cfg).per_ue_aoi[0]
         b = an.aoi_bounds(cfg)
         assert b.lower - 1e-9 <= aoi <= b.upper + 1e-9
 
@@ -375,12 +389,12 @@ class TestBounds:
         # local-scheme evaluation path
         cfg0 = homog(4, 0.2, 1.5, 2.0, 0.6, Scheme.partial(0.0))
         b0 = an.aoi_bounds(cfg0)
-        aoi0 = an.avg_aoi_local(normalize_scheme(cfg0), 0)
+        aoi0 = an.system_metrics(normalize_scheme(cfg0)).per_ue_aoi[0]
         assert b0.lower - 1e-12 <= aoi0 <= b0.upper + 1e-12
         # p=1: local terms vanish
         cfg1 = homog(4, 0.2, 1.5, 2.0, 0.6, Scheme.partial(1.0))
         b1 = an.aoi_bounds(cfg1)
-        aoi1 = an.avg_aoi_edge(normalize_scheme(cfg1), 0)
+        aoi1 = an.system_metrics(normalize_scheme(cfg1)).per_ue_aoi[0]
         assert b1.lower - 1e-12 <= aoi1 <= b1.upper + 1e-12
 
     def test_gap_ratio_vanishes_for_rare_updates(self):
@@ -484,19 +498,20 @@ class TestSystemMetrics:
     def test_heterogeneous_mean(self):
         cfg = SystemConfig(2, (0.05, 0.15), 1.0, 2.0, (0.5, 0.5), Scheme.partial(0.5))
         m = an.system_metrics(cfg)
-        o1 = an.avg_paoi_partial(cfg, 0)
-        o2 = an.avg_paoi_partial(cfg, 1)
+        # a = d = 2, lambda = 0.2, u = 1: 1/lambda_n + 2/1.8 + 1/(1 - lambda_n)
+        o1 = 1 / 0.05 + 2 / 1.8 + 1 / 0.95
+        o2 = 1 / 0.15 + 2 / 1.8 + 1 / 0.85
         assert m.system_paoi == pytest.approx((o1 + o2) / 2, rel=1e-12)
         assert m.per_ue_paoi == (pytest.approx(o1), pytest.approx(o2))
 
     def test_boundary_partial_dispatches_to_pure_schemes(self):
         cfg = homog(3, 0.1, 1.0, 2.0, 0.5, Scheme.partial(0.0))
         m = an.system_metrics(cfg)
-        loc = an.avg_aoi_local(normalize_scheme(cfg), 0)
+        loc = an.system_metrics(normalize_scheme(cfg)).per_ue_aoi[0]
         assert m.per_ue_aoi[0] == pytest.approx(loc, rel=1e-15)
         cfg1 = homog(3, 0.1, 1.0, 2.0, 0.5, Scheme.partial(1.0))
         m1 = an.system_metrics(cfg1)
-        edg = an.avg_aoi_edge(normalize_scheme(cfg1), 0)
+        edg = an.system_metrics(normalize_scheme(cfg1)).per_ue_aoi[0]
         assert m1.per_ue_aoi[0] == pytest.approx(edg, rel=1e-15)
 
     def test_unstable_raises(self):
@@ -518,15 +533,20 @@ class TestSystemMetrics:
             assert m_p.per_ue_paoi[k] == pytest.approx(m.per_ue_paoi[i], rel=1e-12)
         assert m_p.system_aoi == pytest.approx(m.system_aoi, rel=1e-12)
 
-    def test_scheme_guards(self):
-        cfg_local = homog(2, 0.1, 1.0, 2.0, 0.5, Scheme.local())
-        with pytest.raises(ValueError):
-            an.avg_aoi_partial(cfg_local, 0)
-        with pytest.raises(ValueError):
-            an.avg_aoi_edge(cfg_local, 0)
-        cfg_p0 = homog(2, 0.1, 1.0, 2.0, 0.5, Scheme.partial(0.0))
-        with pytest.raises(ValueError):
-            an.avg_aoi_partial(cfg_p0, 0)
+    @pytest.mark.parametrize("scheme", [Scheme.local(), Scheme.edge(), Scheme.partial(0.5)])
+    def test_rates_derived_and_checked_once(self, scheme, monkeypatch):
+        # a per-UE re-derivation makes system_metrics O(N^2) in time
+        calls = {"derive_rates": 0, "require_stable": 0}
+        for name in calls:
+            def counted(cfg, _real=getattr(an, name), _name=name):
+                calls[_name] += 1
+                return _real(cfg)
+            monkeypatch.setattr(an, name, counted)
+        n = 200
+        cfg = SystemConfig(n, tuple(0.001 * (1 + k / n) for k in range(n)), 1.5, 1.8,
+                           tuple(0.25 + 0.001 * k for k in range(n)), scheme)
+        an.system_metrics(cfg)
+        assert calls == {"derive_rates": 1, "require_stable": 1}
 
     def test_deterministic_across_calls(self):
         cfg = homog(6, 0.1, 1.5, 1.8, 0.25, Scheme.partial(0.7))
@@ -543,13 +563,13 @@ class TestSystemMetrics:
 class TestPaoiShape:
     def test_strictly_decreasing_in_service_rates(self):
         base = homog(4, 0.2, 1.5, 2.0, 0.6, Scheme.partial(0.5))
-        v0 = an.avg_paoi_partial(base, 0)
-        assert an.avg_paoi_partial(
-            homog(4, 0.2, 1.6, 2.0, 0.6, Scheme.partial(0.5)), 0) < v0
-        assert an.avg_paoi_partial(
-            homog(4, 0.2, 1.5, 2.1, 0.6, Scheme.partial(0.5)), 0) < v0
-        assert an.avg_paoi_partial(
-            homog(4, 0.2, 1.5, 2.0, 0.7, Scheme.partial(0.5)), 0) < v0
+        v0 = an.system_metrics(base).per_ue_paoi[0]
+        assert an.system_metrics(
+            homog(4, 0.2, 1.6, 2.0, 0.6, Scheme.partial(0.5))).per_ue_paoi[0] < v0
+        assert an.system_metrics(
+            homog(4, 0.2, 1.5, 2.1, 0.6, Scheme.partial(0.5))).per_ue_paoi[0] < v0
+        assert an.system_metrics(
+            homog(4, 0.2, 1.5, 2.0, 0.7, Scheme.partial(0.5))).per_ue_paoi[0] < v0
 
     def test_u_shape_in_generation_rate(self):
         # sparse updates dominate at low rates, queueing at high rates
@@ -567,4 +587,4 @@ class TestPaoiShape:
     def test_paoi_diverges_at_local_pole(self):
         cfg = homog(1, 0.5, 4.0, 9.0, (0.5 + 1e-8) * 0.5, Scheme.partial(0.5))
         # eff_local = mu_h / 0.5 = 0.5 + 1e-8, just above lambda
-        assert an.avg_paoi_partial(cfg, 0) > 1e7
+        assert an.system_metrics(cfg).per_ue_paoi[0] > 1e7

@@ -403,7 +403,7 @@ class TestAnalyticOracles:
         first_order = (lam / (ln * a * (a - lam)) + ln * lo / (a * (a - lo) ** 3)
                        - 1.0 / (a - lo) ** 2)
         for n, est in enumerate(res.correlations.yw_edge):
-            want = an.e_yw_edge(cfg, n)
+            want = an.e_yw(cfg, n)[0]
             assert abs(est.value - want) < 3 * est.se, (n, est, want)
             assert est.value - first_order > 3 * est.se, (n, est, first_order)
 
@@ -414,7 +414,7 @@ class TestAnalyticOracles:
                                           replications=10,
                                           record_correlations=True))
         for n, est in enumerate(res.correlations.yw_edge):
-            want = an.e_yw_edge(cfg, n)
+            want = an.e_yw(cfg, n)[0]
             assert abs(est.value - want) < 3 * est.se, (n, est, want)
 
     def test_paoi_closed_form_three_stage(self):
