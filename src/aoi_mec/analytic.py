@@ -326,15 +326,14 @@ def phi_terms_edge(rates: DerivedRates, ue_index: int) -> PhiTerms:
 # ---------------------------------------------------------------------------
 
 
-def _e_yw_stages(rates: DerivedRates, ue_index: int, ln: float) -> tuple[float, float, float]:
+def _e_yw_stages(rates: DerivedRates, ue_index: int) -> tuple[float, float, float]:
     """(E[Y_j W_edge], E[Y_j W_tx], E[Y_j W_local]) of one UE.
 
     The one place that picks each stage's form. The scheme is read from
-    the pass-through stage (rate +inf), whose entry is 0. ln is the UE's
-    own generation rate: rates.gen_rate() recovers it as a difference,
-    which loses digits when ln << lambda.
+    the pass-through stage (rate +inf), whose entry is 0.
     """
     a = rates.eff_edge
+    ln = rates.gen_rate(ue_index)
     lo = rates.others_gen[ue_index]
     if math.isinf(a):
         # Local scheme: the transmission queue is the first stage; see
@@ -361,7 +360,7 @@ def e_yw(cfg: SystemConfig, ue_index: int) -> tuple[float, float, float]:
     A pass-through stage's entry is 0. The order is that of
     e_yw_lower_bounds.
     """
-    return _e_yw_stages(derive_rates(cfg), ue_index, cfg.gen_rates[ue_index])
+    return _e_yw_stages(derive_rates(cfg), ue_index)
 
 
 def e_yw_lower_bounds(cfg: SystemConfig, ue_index: int) -> tuple[float, float, float]:
@@ -375,7 +374,7 @@ def e_yw_lower_bounds(cfg: SystemConfig, ue_index: int) -> tuple[float, float, f
     rates = derive_rates(cfg)
     ln = cfg.gen_rates[ue_index]
     u = rates.eff_local[ue_index]
-    b_edge = _e_yw_stages(rates, ue_index, ln)[0]
+    b_edge = _e_yw_stages(rates, ue_index)[0]
     b_tx = _e_yw_first_order(ln, rates.others_gen[ue_index], rates.total_gen, rates.tx_rate)
     b_local = 0.0 if math.isinf(u) else 1.0 / (u * (u - ln)) - 1.0 / u ** 2
     return (b_edge, b_tx, b_local)
@@ -400,7 +399,7 @@ def system_metrics(cfg: SystemConfig) -> AoiMetrics:
     d = rates.tx_rate
     aoi, paoi = [], []
     for n, (ln, u) in enumerate(zip(cfg.gen_rates, rates.eff_local)):
-        yw_edge, yw_tx, yw_local = _e_yw_stages(rates, n, ln)
+        yw_edge, yw_tx, yw_local = _e_yw_stages(rates, n)
         aoi.append(1.0 / ln + 1.0 / a + 1.0 / d + 1.0 / u
                    + ln * (yw_edge + yw_tx + yw_local))
         paoi.append(_paoi(ln, lam, a, d, u))

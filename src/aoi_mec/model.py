@@ -153,6 +153,7 @@ class DerivedRates:
     """Aggregate and workload-rescaled rates.
 
     total_gen: lambda = sum of gen_rates
+    gen_rates: per-UE lambda_n, as given
     others_gen: per-UE lambda_{-n} = lambda - lambda_n
     eff_edge: mu_B' = mu_B / p  (+inf when p = 0)
     eff_local: per-UE mu_n' = mu_n / (1 - p)  (+inf when p = 1)
@@ -161,14 +162,15 @@ class DerivedRates:
     """
 
     total_gen: float
+    gen_rates: tuple[float, ...]
     others_gen: tuple[float, ...]
     eff_edge: float
     eff_local: tuple[float, ...]
     tx_rate: float
 
     def gen_rate(self, ue_index: int) -> float:
-        """Per-UE generation rate lambda_n = lambda - lambda_{-n}."""
-        return self.total_gen - self.others_gen[ue_index]
+        """Per-UE generation rate lambda_n."""
+        return self.gen_rates[ue_index]
 
 
 def derive_rates(cfg: SystemConfig) -> DerivedRates:
@@ -181,7 +183,7 @@ def derive_rates(cfg: SystemConfig) -> DerivedRates:
         eff_local = (math.inf,) * cfg.num_ues
     else:
         eff_local = tuple(mu / (1.0 - p) for mu in cfg.local_rates)
-    return DerivedRates(lam, others, eff_edge, eff_local, cfg.tx_rate)
+    return DerivedRates(lam, cfg.gen_rates, others, eff_edge, eff_local, cfg.tx_rate)
 
 
 @dataclass(frozen=True)

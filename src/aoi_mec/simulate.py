@@ -15,6 +15,14 @@ UEs) makes the waits of all counted packets exact, with no end-of-run
 truncation bias. UEs whose counted packets end before the horizon get
 extra "padding" packets that are fully simulated but never counted.
 
+Layout: a replication is a set of plain float columns -- gen, edge_done,
+tx_done, local_done, wait_edge, wait_tx, wait_local -- in UE-major order.
+UE n's packets are rows offsets[n]:offsets[n + 1], in generation order,
+and the first packets_per_ue of them are counted (the rest is padding).
+The merge permutation order (a stable argsort of gen: time, then UE, then
+sequence number) gives the order in which the shared edge and
+transmission servers see the packets. Per-UE data is a slice view.
+
 Randomness: one dedicated stream per UE for generation and one per server
 for services, each spawned from the master seed by a fixed key. Stream
 consumption per run depends only on the generation randomness, so fixed
@@ -33,7 +41,6 @@ import numpy as np
 from scipy import stats
 
 from .model import (
-    InsufficientData,
     InvalidParams,
     SystemConfig,
     check_stability,
@@ -45,23 +52,6 @@ class DivergenceWarning(RuntimeWarning):
     """A queue grew past the configured cap (expected for unstable runs)."""
 
 
-PACKET_DTYPE = np.dtype([
-    ("ue", np.int32),
-    ("seq", np.int64),          # per-UE generation index (0-based)
-    ("counted", np.bool_),      # False only for horizon-padding packets
-    ("gen", np.float64),
-    ("edge_done", np.float64),
-    ("tx_done", np.float64),
-    ("local_done", np.float64),
-    ("wait_edge", np.float64),
-    ("serv_edge", np.float64),
-    ("wait_tx", np.float64),
-    ("serv_tx", np.float64),
-    ("wait_local", np.float64),
-    ("serv_local", np.float64),
-])
-
-
 @dataclass(frozen=True)
 class SimParams:
     """Simulation controls.
@@ -69,8 +59,7 @@ class SimParams:
     warmup_packets_per_ue=None discards the first 10% of each UE's packets.
     record_correlations additionally estimates the E[Y W] terms, their
     event-conditioned splits, and the queue-occupancy statistics used by
-    the geometric-distribution check. keep_records retains the raw packet
-    arrays (one per replication) -- sized for small runs only.
+    the geometric-distribution check.
     """
 
     seed: int
@@ -78,7 +67,6 @@ class SimParams:
     warmup_packets_per_ue: Optional[int] = None
     replications: int = 10
     record_correlations: bool = False
-    keep_records: bool = False
     queue_cap: int = 100_000
 
     def __post_init__(self):
@@ -145,13 +133,12 @@ class CorrelationEstimates:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Run health: queue extremes, horizon, delivery accounting."""
+    """Run health: queue extremes, horizon, divergence and stability flags."""
 
     max_edge_queue: int
     max_tx_queue: int
     max_local_queues: tuple[int, ...]
     sim_time: float
-    delivered: tuple[int, ...]
     diverged: bool
     near_unstable: bool
     replications: int
@@ -165,19 +152,6 @@ class SimResult:
     system_paoi: Estimate
     correlations: Optional[CorrelationEstimates]
     diagnostics: Diagnostics
-    records: Optional[tuple[np.ndarray, ...]]
-
-
-@dataclass(frozen=True)
-class CorrelationTerms:
-    """Sample means of Y_j * W_j per stage with within-path standard errors."""
-
-    yw_edge: float
-    yw_edge_se: float
-    yw_tx: float
-    yw_tx_se: float
-    yw_local: float
-    yw_local_se: float
 
 
 def _lindley(arrivals: np.ndarray, services: np.ndarray):
@@ -240,62 +214,67 @@ def _generate_arrivals(cfg: SystemConfig, seed: int, rep: int, M: int):
 
 
 def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
-    """Simulate one replication; returns the merged packet table."""
+    """Simulate one replication; returns (cols, offsets, order).
+
+    cols maps each column name to a float array in UE-major layout (see
+    the module docstring), offsets[n]:offsets[n + 1] is UE n's range and
+    order is the merge permutation.
+    """
     rates = derive_rates(cfg)
     N = cfg.num_ues
-    M = params.packets_per_ue
-    per_ue_times = _generate_arrivals(cfg, params.seed, rep, M)
-
-    ue = np.concatenate([np.full(len(t), n, dtype=np.int32)
-                         for n, t in enumerate(per_ue_times)])
-    seq = np.concatenate([np.arange(len(t), dtype=np.int64)
-                          for t in per_ue_times])
+    per_ue_times = _generate_arrivals(cfg, params.seed, rep, params.packets_per_ue)
+    offsets = np.zeros(N + 1, dtype=np.intp)
+    offsets[1:] = np.cumsum([len(t) for t in per_ue_times])
     gen = np.concatenate(per_ue_times)
-    # deterministic merge: time, then UE id, then sequence number
-    order = np.lexsort((seq, ue, gen))
-    ue, seq, gen = ue[order], seq[order], gen[order]
+    del per_ue_times
     K = len(gen)
+    # deterministic merge: time, then UE id, then sequence number (the
+    # stable sort keeps the UE-major order among equal times)
+    order = np.argsort(gen, kind="stable")
 
-    rows = np.zeros(K, dtype=PACKET_DTYPE)
-    rows["ue"] = ue
-    rows["seq"] = seq
-    rows["counted"] = seq < M
-    rows["gen"] = gen
+    def ue_major(merged):
+        out = np.empty(K)
+        out[order] = merged
+        return out
 
+    # The shared stages run in merge order; each merged array is scattered
+    # to UE-major order and released at once, which bounds peak memory.
     # Stage 1: shared edge computation server at the effective rate.
+    arrivals = gen[order]
     if math.isinf(rates.eff_edge):
-        edge_done = gen.copy()
+        edge_done, wait_edge = arrivals, np.zeros(K)
     else:
         s_edge = _stream(params.seed, rep, N).standard_exponential(K) / rates.eff_edge
-        edge_done, w_edge = _lindley(gen, s_edge)
-        rows["serv_edge"] = s_edge
-        rows["wait_edge"] = w_edge
-    rows["edge_done"] = edge_done
+        edge_done, wait_edge = _lindley(arrivals, s_edge)
+        del s_edge
+    del arrivals
+    cols = {"gen": gen, "wait_edge": ue_major(wait_edge)}
+    del wait_edge
 
     # Stage 2: shared transmission server (always a real stage).
     s_tx = _stream(params.seed, rep, N + 1).standard_exponential(K) / cfg.tx_rate
-    tx_done, w_tx = _lindley(edge_done, s_tx)
-    rows["serv_tx"] = s_tx
-    rows["wait_tx"] = w_tx
-    rows["tx_done"] = tx_done
+    tx_done, wait_tx = _lindley(edge_done, s_tx)
+    del s_tx
+    cols["edge_done"] = ue_major(edge_done)
+    del edge_done
+    cols["tx_done"] = ue_major(tx_done)
+    del tx_done
+    cols["wait_tx"] = ue_major(wait_tx)
+    del wait_tx
 
-    # Stage 3: one local computation server per UE.
-    local_done = np.empty(K)
+    # Stage 3: one local computation server per UE, over its own range.
+    cols["local_done"] = cols["tx_done"].copy()
+    cols["wait_local"] = np.zeros(K)
     for n in range(N):
-        mask = ue == n
-        arr = tx_done[mask]
         u = rates.eff_local[n]
         if math.isinf(u):
-            local_done[mask] = arr
-        else:
-            s_loc = (_stream(params.seed, rep, N + 2 + n)
-                     .standard_exponential(len(arr)) / u)
-            ld, wl = _lindley(arr, s_loc)
-            local_done[mask] = ld
-            rows["serv_local"][mask] = s_loc
-            rows["wait_local"][mask] = wl
-    rows["local_done"] = local_done
-    return rows
+            continue
+        ue = slice(offsets[n], offsets[n + 1])
+        s_loc = (_stream(params.seed, rep, N + 2 + n)
+                 .standard_exponential(ue.stop - ue.start) / u)
+        cols["local_done"][ue], cols["wait_local"][ue] = _lindley(
+            cols["tx_done"][ue], s_loc)
+    return cols, offsets, order
 
 
 def _max_in_system(arrivals: np.ndarray, departures: np.ndarray) -> int:
@@ -307,35 +286,32 @@ def _max_in_system(arrivals: np.ndarray, departures: np.ndarray) -> int:
     return int(present.max())
 
 
-def _mean_se(products: np.ndarray):
-    n = len(products)
-    m = float(np.mean(products))
-    se = float(np.std(products, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return m, se
-
-
-def _estimate_ue(rows_ue: np.ndarray, M: int, W: int, want_corr: bool):
+def _estimate_ue(ue: dict, M: int, W: int, want_corr: bool):
     """Point estimates for one UE from one replication.
 
-    Uses generation pairs (j-1, j) with both packets inside the retained
+    ue maps column names to that UE's arrays, in generation order. Uses
+    generation pairs (j-1, j) with both packets inside the retained
     window [W, M); the first retained packet only anchors its successor's
-    inter-generation gap.
+    inter-generation gap. Each gap Y_j together with the system time T_j
+    adds Y_j^2/2 + Y_j T_j of integrated age, so the AoI estimate is
+    sum(Y^2/2 + Y T) / sum(Y) (Kaul, Yates and Gruteser, INFOCOM 2012);
+    the age peaks just before each delivery at Y_j + T_j.
     """
-    gen = rows_ue["gen"]
-    j = np.arange(W + 1, M)
-    y = gen[j] - gen[j - 1]
-    t_sys = rows_ue["local_done"][j] - gen[j]
+    cur, prev = slice(W + 1, M), slice(W, M - 1)
+    gen = ue["gen"]
+    y = gen[cur] - gen[prev]
+    t_sys = ue["local_done"][cur] - gen[cur]
     q = 0.5 * y * y + y * t_sys
     aoi = float(np.sum(q) / np.sum(y))
     paoi = float(np.mean(y + t_sys))
     out = {"aoi": aoi, "paoi": paoi}
     if want_corr:
-        w_e = rows_ue["wait_edge"][j]
-        w_d = rows_ue["wait_tx"][j]
-        w_u = rows_ue["wait_local"][j]
+        w_e = ue["wait_edge"][cur]
+        w_d = ue["wait_tx"][cur]
+        w_u = ue["wait_local"][cur]
         # catch-up event: packet j clears the edge stage before packet j-1
         # clears the transmission server
-        caught = rows_ue["edge_done"][j] < rows_ue["tx_done"][j - 1]
+        caught = ue["edge_done"][cur] < ue["tx_done"][prev]
         out["yw_edge"] = float(np.mean(y * w_e))
         out["yw_tx"] = float(np.mean(y * w_d))
         out["yw_local"] = float(np.mean(y * w_u))
@@ -349,24 +325,22 @@ def _estimate_ue(rows_ue: np.ndarray, M: int, W: int, want_corr: bool):
     return out
 
 
-def _edge_occupancy_own0(rows: np.ndarray, rows_ue: np.ndarray,
-                         M: int, W: int) -> np.ndarray:
+def _edge_occupancy_own0(all_gen: np.ndarray, all_done: np.ndarray,
+                         ue: dict, M: int, W: int) -> np.ndarray:
     """Other-UE edge-node occupancy at retained generation instants that
     found no own packet there (the conditioning of the geometric law).
 
-    Completions tie-break before generations: a packet completing exactly
-    at the observation instant has left, the observed packet itself has
-    not yet arrived.
+    all_gen and all_done are every packet's generation and edge completion
+    times in merge order (both non-decreasing, FCFS); ue is one UE's
+    columns. Completions tie-break before generations: a packet completing
+    exactly at the observation instant has left, the observed packet
+    itself has not yet arrived.
     """
-    t_obs = rows_ue["gen"][W:M]
-    all_gen = rows["gen"]          # merged order: non-decreasing
-    all_done = rows["edge_done"]   # FCFS: non-decreasing too
+    t_obs = ue["gen"][W:M]
     total = (np.searchsorted(all_gen, t_obs, side="left")
              - np.searchsorted(all_done, t_obs, side="right"))
-    own_gen = rows_ue["gen"]
-    own_done = rows_ue["edge_done"]
-    own = (np.searchsorted(own_gen, t_obs, side="left")
-           - np.searchsorted(own_done, t_obs, side="right"))
+    own = (np.searchsorted(ue["gen"], t_obs, side="left")
+           - np.searchsorted(ue["edge_done"], t_obs, side="right"))
     others = total - own
     return others[own == 0]
 
@@ -411,31 +385,31 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
     max_local = [0] * N
     sim_time = 0.0
     diverged = False
-    kept = []
 
     for rep in range(R):
-        rows = _run_replication(cfg, params, rep)
-        sim_time = max(sim_time, float(rows["local_done"].max()))
+        cols, offsets, order = _run_replication(cfg, params, rep)
+        sim_time = max(sim_time, float(cols["local_done"].max()))
+        # the shared stages' queues are read in merge order
+        gen, edge_done = cols["gen"][order], cols["edge_done"][order]
         if math.isfinite(rates.eff_edge):
-            max_edge = max(max_edge, _max_in_system(rows["gen"], rows["edge_done"]))
-        max_tx = max(max_tx, _max_in_system(rows["edge_done"], rows["tx_done"]))
+            max_edge = max(max_edge, _max_in_system(gen, edge_done))
+        max_tx = max(max_tx, _max_in_system(edge_done, cols["tx_done"][order]))
         for n in range(N):
-            rows_ue = rows[rows["ue"] == n]
+            ue = {k: v[offsets[n]:offsets[n + 1]] for k, v in cols.items()}
             if math.isfinite(rates.eff_local[n]):
                 max_local[n] = max(max_local[n], _max_in_system(
-                    rows_ue["tx_done"], rows_ue["local_done"]))
-            est = _estimate_ue(rows_ue, M, W, want_corr)
+                    ue["tx_done"], ue["local_done"]))
+            est = _estimate_ue(ue, M, W, want_corr)
             for k, v in est.items():
                 acc[k][rep, n] = v
             if want_corr and math.isfinite(rates.eff_edge):
-                counts = _edge_occupancy_own0(rows, rows_ue, M, W)
+                counts = _edge_occupancy_own0(gen, edge_done, ue, M, W)
                 h = np.bincount(counts)
                 if len(h) > len(hists[n]):
                     h, hists[n] = hists[n], h.astype(np.int64)
                 hists[n][:len(h)] += h
-        if params.keep_records:
-            kept.append(rows)
-        del rows
+        # release this replication's arrays before the next one is built
+        del cols, order, gen, edge_done, ue
 
     cap = params.queue_cap
     if max(max_edge, max_tx, *max_local, 0) > cap:
@@ -472,7 +446,6 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
         max_tx_queue=max_tx,
         max_local_queues=tuple(max_local),
         sim_time=sim_time,
-        delivered=(M,) * N,
         diverged=diverged,
         near_unstable=check_stability(cfg).near_unstable,
         replications=R,
@@ -484,82 +457,4 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
         system_paoi=system_paoi,
         correlations=correlations,
         diagnostics=diag,
-        records=tuple(kept) if params.keep_records else None,
     )
-
-
-# ---------------------------------------------------------------------------
-# Path estimators over one UE's records (public, also usable on exported
-# traces). records must be sorted by generation time.
-# ---------------------------------------------------------------------------
-
-
-def _check_one_ue(records: np.ndarray) -> None:
-    if len(records) and len(np.unique(records["ue"])) > 1:
-        raise ValueError("path estimators take the records of a single UE")
-    ld = records["local_done"]
-    if len(ld) > 1 and np.any(np.diff(ld) < 0):
-        raise AssertionError(
-            "deliveries out of generation order; FCFS stages cannot do that, "
-            "this indicates an engine bug")
-
-
-def aoi_from_path(records: np.ndarray):
-    """Time-average AoI of one UE's delivery path.
-
-    Returns (estimate, per-packet contribution array). Each generation gap
-    Y_j together with the system time T_j contributes Y_j^2/2 + Y_j T_j of
-    integrated age; the estimate is total contribution over total time.
-    Needs >= 2 records (the first only opens the first gap).
-    """
-    if len(records) < 2:
-        raise InsufficientData("need at least 2 delivered packets")
-    _check_one_ue(records)
-    gen = records["gen"]
-    y = np.diff(gen)
-    t_sys = records["local_done"][1:] - gen[1:]
-    if np.any(y < 0):
-        raise ValueError("records must be sorted by generation time")
-    q = 0.5 * y * y + y * t_sys
-    total_y = float(np.sum(y))
-    if total_y == 0.0:
-        raise InsufficientData("all generation times coincide")
-    return float(np.sum(q) / total_y), q
-
-
-def paoi_from_path(records: np.ndarray, anchor_time: float = 0.0) -> float:
-    """Mean peak AoI of one UE's delivery path.
-
-    The age peaks just before each delivery at Y_j + T_j. The gap of the
-    first record is measured from anchor_time (default: the time origin,
-    treating the path start as the previous update).
-    """
-    if len(records) < 1:
-        raise InsufficientData("need at least 1 delivered packet")
-    _check_one_ue(records)
-    gen = records["gen"]
-    prev = np.concatenate(([anchor_time], gen[:-1]))
-    y = gen - prev
-    if np.any(y < 0):
-        raise ValueError("records must be sorted by generation time "
-                         "and start after anchor_time")
-    t_sys = records["local_done"] - gen
-    return float(np.mean(y + t_sys))
-
-
-def estimate_correlation_terms(records: np.ndarray) -> CorrelationTerms:
-    """Sample means of Y_j W_j per stage, with standard errors.
-
-    These are the Monte-Carlo oracles for the closed-form correlation
-    terms. Needs >= 100 retained packets for the errors to mean anything.
-    """
-    if len(records) < 100:
-        raise InsufficientData(
-            f"need >= 100 retained packets, got {len(records)}")
-    _check_one_ue(records)
-    gen = records["gen"]
-    y = np.diff(gen)
-    e, e_se = _mean_se(y * records["wait_edge"][1:])
-    d, d_se = _mean_se(y * records["wait_tx"][1:])
-    u, u_se = _mean_se(y * records["wait_local"][1:])
-    return CorrelationTerms(e, e_se, d, d_se, u, u_se)

@@ -286,6 +286,19 @@ class TestPhiTerms:
         phi = an.phi_terms_partial(derive_rates(cfg), 0)
         assert phi.phi_ljd == 0.0
 
+    def test_rare_ue_keeps_its_own_rate(self):
+        # lambda_0 / lambda ~ 1e-9: recovering lambda_0 as lambda - lambda_{-0}
+        # loses about eight digits, so the terms must use the given rate.
+        cfg = SystemConfig(2, (1.2e-9, 1.0), 3.0, 4.0, (2.0, 2.0),
+                           Scheme.partial(0.5))
+        r = derive_rates(cfg)
+        got = an.phi_terms_partial(r, 0)
+        want = an._phi_eval(cfg.gen_rates[0], r.others_gen[0], r.total_gen,
+                            r.eff_edge, r.tx_rate, r.eff_local[0], True)
+        for name in ("phi_bjd", "phi_ljd", "phi_bju", "phi_lju"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                       rel=1e-15, abs=0.0)
+
     def test_single_ue_edge_ljd_vanishes(self):
         cfg = homog(1, 0.3, 1.0, 1.5, 0.4, Scheme.edge())
         phi = an.phi_terms_edge(derive_rates(cfg), 0)

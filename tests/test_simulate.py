@@ -14,20 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aoi_mec.model import (
-    InsufficientData,
     InvalidParams,
     Scheme,
     SystemConfig,
 )
 from aoi_mec import analytic as an
 from aoi_mec.simulate import (
-    PACKET_DTYPE,
-    CorrelationTerms,
     DivergenceWarning,
+    Estimate,
     SimParams,
-    aoi_from_path,
-    estimate_correlation_terms,
-    paoi_from_path,
+    _estimate_ue,
+    _run_replication,
     simulate_mec,
 )
 
@@ -38,114 +35,90 @@ def mm1_aoi(lam, mu):
     return (1.0 / mu) * (1.0 + 1.0 / rho + rho * rho / (1.0 - rho))
 
 
-def make_records(gen, local_done, ue=0, **waits):
-    rows = np.zeros(len(gen), dtype=PACKET_DTYPE)
-    rows["ue"] = ue
-    rows["counted"] = True
-    rows["gen"] = gen
-    rows["local_done"] = local_done
-    for key, val in waits.items():
-        rows[key] = val
-    return rows
+def estimate_path(gen, local_done, M=None, W=0):
+    """_estimate_ue on one hand-built delivery path (no waits)."""
+    ue = {"gen": np.asarray(gen, dtype=float),
+          "local_done": np.asarray(local_done, dtype=float)}
+    return _estimate_ue(ue, len(gen) if M is None else M, W, False)
+
+
+def ue_ranges(offsets):
+    return [slice(offsets[n], offsets[n + 1]) for n in range(len(offsets) - 1)]
 
 
 # ---------------------------------------------------------------------------
-# Path estimators on hand-built records
+# The sawtooth-area estimator on hand-built paths (no warm-up)
 # ---------------------------------------------------------------------------
 
 
 class TestAoiFromPath:
     def test_single_gap_contribution(self):
-        # Y=2, T=1 -> Q = 2^2/2 + 2*1 = 4
-        est, q = aoi_from_path(make_records([0.0, 2.0], [0.5, 3.0]))
-        assert q == pytest.approx([4.0])
-        assert est == pytest.approx(2.0)
+        # Y=2, T=1 -> integrated age 2^2/2 + 2*1 = 4 over time 2
+        assert estimate_path([0.0, 2.0], [0.5, 3.0])["aoi"] == pytest.approx(2.0)
 
     def test_zero_gap_contributes_nothing(self):
-        # Y=0 gives Q=0 no matter how long the system time is
-        _, q = aoi_from_path(make_records([0.0, 1.0, 1.0], [0.5, 1.5, 6.0]))
-        assert q[1] == 0.0
+        # Y=0 adds no age and no time, however long the system time is
+        with_zero = estimate_path([0.0, 1.0, 1.0], [0.5, 1.5, 6.0])["aoi"]
+        without = estimate_path([0.0, 1.0], [0.5, 1.5])["aoi"]
+        assert with_zero == without == pytest.approx(1.0)
 
     def test_three_packet_hand_value(self):
         # Y=(2,2), T=(1,1): (4+4)/(2+2) = 2
-        est, q = aoi_from_path(make_records([0.0, 2.0, 4.0], [1.0, 3.0, 5.0]))
-        assert est == pytest.approx(2.0)
-        assert list(q) == pytest.approx([4.0, 4.0])
+        est = estimate_path([0.0, 2.0, 4.0], [1.0, 3.0, 5.0])
+        assert est["aoi"] == pytest.approx(2.0)
+
+    def test_window_skips_warmup_and_padding(self):
+        # only pairs inside [W, M) count: here the packets at 10, 11 and 13
+        gen = [0.0, 10.0, 11.0, 13.0, 50.0]
+        done = [9.0, 10.5, 12.0, 13.5, 99.0]
+        assert estimate_path(gen, done, M=4, W=1) == estimate_path(gen[1:4], done[1:4])
 
     def test_needs_two_packets(self):
-        with pytest.raises(InsufficientData):
-            aoi_from_path(make_records([1.0], [2.0]))
-
-    def test_all_gaps_zero_rejected(self):
-        with pytest.raises(InsufficientData, match="coincide"):
-            aoi_from_path(make_records([1.0, 1.0], [2.0, 3.0]))
-
-    def test_unsorted_generation_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            aoi_from_path(make_records([2.0, 1.0], [3.0, 4.0]))
-
-    def test_mixed_ues_rejected(self):
-        rows = make_records([0.0, 1.0], [1.0, 2.0])
-        rows["ue"] = [0, 1]
-        with pytest.raises(ValueError, match="single UE"):
-            aoi_from_path(rows)
+        # the estimator needs one generation pair; simulate_mec guards it
+        cfg = SystemConfig.homogeneous(1, 0.5, 1.0, 2.0, 1.5, Scheme.local())
+        with pytest.raises(InvalidParams, match="retained"):
+            simulate_mec(cfg, SimParams(seed=1, packets_per_ue=1))
 
     def test_out_of_order_delivery_is_an_engine_bug(self):
-        # FCFS stages cannot reorder one UE's deliveries
-        with pytest.raises(AssertionError, match="engine bug"):
-            aoi_from_path(make_records([0.0, 1.0], [5.0, 4.0]))
+        # FCFS stages cannot reorder one UE's deliveries, in any scheme
+        for scheme in (Scheme.local(), Scheme.edge(), Scheme.partial(0.5)):
+            cfg = SystemConfig.homogeneous(3, 0.2, 1.2, 1.8, 0.6, scheme)
+            cols, offsets, _ = _run_replication(
+                cfg, SimParams(seed=6, packets_per_ue=500), 0)
+            for ue in ue_ranges(offsets):
+                assert np.all(np.diff(cols["gen"][ue]) > 0)
+                assert np.all(np.diff(cols["local_done"][ue]) >= 0)
 
     @given(scale=st.floats(0.01, 100.0), shift=st.floats(0.0, 50.0))
     def test_time_rescaling(self, scale, shift):
         # AoI is a time: shifting the origin does nothing, scaling scales it
         gen = np.array([0.0, 1.0, 3.0, 3.5, 7.0])
         done = gen + np.array([0.9, 1.1, 0.4, 2.0, 0.3])
-        base, _ = aoi_from_path(make_records(gen, done))
-        moved, _ = aoi_from_path(make_records(gen * scale + shift,
-                                              done * scale + shift))
+        base = estimate_path(gen, done)["aoi"]
+        moved = estimate_path(gen * scale + shift, done * scale + shift)["aoi"]
         assert moved == pytest.approx(base * scale, rel=1e-9)
 
 
 class TestPaoiFromPath:
     def test_single_packet(self):
-        # Y=2 (from the t=0 anchor), T=1 -> peak 3
-        assert paoi_from_path(make_records([2.0], [3.0])) == pytest.approx(3.0)
+        # Y=2 (from the predecessor at t=0), T=1 -> peak 3
+        assert estimate_path([0.0, 2.0], [0.5, 3.0])["paoi"] == pytest.approx(3.0)
 
     def test_two_packet_mean(self):
         # Y=(2,4), T=(1,1) -> (3+5)/2 = 4
-        rows = make_records([2.0, 6.0], [3.0, 7.0])
-        assert paoi_from_path(rows) == pytest.approx(4.0)
-
-    def test_custom_anchor(self):
-        rows = make_records([2.0], [3.0])
-        assert paoi_from_path(rows, anchor_time=1.0) == pytest.approx(2.0)
-
-    def test_anchor_after_first_gen_rejected(self):
-        with pytest.raises(ValueError):
-            paoi_from_path(make_records([2.0], [3.0]), anchor_time=2.5)
-
-    def test_needs_one_packet(self):
-        with pytest.raises(InsufficientData):
-            paoi_from_path(make_records([], []))
+        est = estimate_path([0.0, 2.0, 6.0], [1.0, 3.0, 7.0])
+        assert est["paoi"] == pytest.approx(4.0)
 
 
 class TestEstimateCorrelationTerms:
-    def test_needs_hundred_packets(self):
-        gen = np.arange(99, dtype=float)
-        with pytest.raises(InsufficientData, match="100"):
-            estimate_correlation_terms(make_records(gen, gen + 0.5))
-
     def test_local_scheme_edge_term_is_exactly_zero(self):
         cfg = SystemConfig.homogeneous(2, 0.2, 1.0, 2.0, 0.8, Scheme.local())
-        res = simulate_mec(cfg, SimParams(seed=5, packets_per_ue=2_000,
-                                          replications=1, keep_records=True))
-        rows = res.records[0]
-        rows_ue = rows[(rows["ue"] == 0) & rows["counted"]]
-        terms = estimate_correlation_terms(rows_ue)
-        assert isinstance(terms, CorrelationTerms)
-        assert terms.yw_edge == 0.0
-        assert terms.yw_edge_se == 0.0
-        assert terms.yw_tx > 0.0
+        res = simulate_mec(cfg, SimParams(seed=5, packets_per_ue=1_000,
+                                          replications=2,
+                                          record_correlations=True))
+        corr = res.correlations
+        assert corr.yw_edge[0] == Estimate(0.0, 0.0, 0.0)
+        assert corr.yw_tx[0].value > 0.0
 
     def test_single_ue_edge_term_matches_closed_form(self):
         # With no interfering UEs the first-stage E[Y W] closed form is
@@ -155,28 +128,27 @@ class TestEstimateCorrelationTerms:
                                        Scheme.partial(p))
         a = mu_b / p
         want = lam / (lam * a * (a - lam)) - 1.0 / a ** 2
-        res = simulate_mec(cfg, SimParams(seed=11, packets_per_ue=60_000,
-                                          replications=1, keep_records=True))
-        rows = res.records[0]
-        terms = estimate_correlation_terms(rows[rows["counted"]])
-        assert terms.yw_edge == pytest.approx(want, abs=3 * terms.yw_edge_se)
+        res = simulate_mec(cfg, SimParams(seed=11, packets_per_ue=6_000,
+                                          replications=10,
+                                          record_correlations=True))
+        est = res.correlations.yw_edge[0]
+        assert est.value == pytest.approx(want, abs=3 * est.se)
 
     def test_estimates_dominate_lower_bounds(self):
         cfg = SystemConfig.homogeneous(3, 0.15, 1.2, 1.6, 0.7,
                                        Scheme.partial(0.5))
-        res = simulate_mec(cfg, SimParams(seed=12, packets_per_ue=30_000,
-                                          replications=1, keep_records=True))
-        rows = res.records[0]
-        rows_ue = rows[(rows["ue"] == 0) & rows["counted"]]
-        terms = estimate_correlation_terms(rows_ue)
+        res = simulate_mec(cfg, SimParams(seed=12, packets_per_ue=3_000,
+                                          replications=10,
+                                          record_correlations=True))
+        corr = res.correlations
         lows = an.e_yw_lower_bounds(cfg, 0)
-        assert terms.yw_edge >= lows[0] - 3 * terms.yw_edge_se
-        assert terms.yw_tx >= lows[1] - 3 * terms.yw_tx_se
-        assert terms.yw_local >= lows[2] - 3 * terms.yw_local_se
+        for est, low in zip((corr.yw_edge[0], corr.yw_tx[0], corr.yw_local[0]),
+                            lows):
+            assert est.value >= low - 3 * est.se
 
 
 # ---------------------------------------------------------------------------
-# Engine contracts: parameters, determinism, records
+# Engine contracts: parameters, determinism, replication columns
 # ---------------------------------------------------------------------------
 
 
@@ -223,6 +195,24 @@ class TestDeterminism:
         b = simulate_mec(cfg, SimParams(seed=78, packets_per_ue=3_000))
         assert a.system_aoi.value != b.system_aoi.value
 
+    def test_fixed_seed_output_is_pinned(self):
+        # Exact values from a fixed seed: any change to the stream layout,
+        # the merge order or the estimators' arithmetic shows here.
+        cfg = SystemConfig.homogeneous(2, 0.2, 1.0, 1.5, 0.8,
+                                       Scheme.partial(0.5))
+        res = simulate_mec(cfg, SimParams(seed=2024, packets_per_ue=2_000,
+                                          replications=2,
+                                          record_correlations=True))
+        assert repr(res.system_aoi) == (
+            "Estimate(value=7.096579135720725, se=0.10788329760574111, "
+            "ci95=1.3707872669922119)")
+        assert repr(res.system_paoi) == (
+            "Estimate(value=7.29007390848982, se=0.05111799636823333, "
+            "ci95=0.6495157275578072)")
+        assert repr(res.correlations.yw_tx[1]) == (
+            "Estimate(value=0.6538401396562373, se=0.09237708729450056, "
+            "ci95=1.1737621840954062)")
+
     def test_boundary_partial_matches_pure_scheme_bitwise(self):
         # Partial(0)/Partial(1) normalize to Local/Edge inside the engine,
         # and the stream layout keeps the randomness identical.
@@ -243,70 +233,77 @@ class TestDeterminism:
         # are generated, only how they move through the stages.
         base = SystemConfig.homogeneous(2, 0.25, 1.4, 2.2, 0.9,
                                         Scheme.partial(0.3))
-        params = SimParams(seed=13, packets_per_ue=1_000, replications=1,
-                           keep_records=True)
-        r1 = simulate_mec(base, params)
-        r2 = simulate_mec(base.with_scheme(Scheme.partial(0.7)), params)
-        g1 = np.sort(r1.records[0]["gen"][r1.records[0]["counted"]])
-        g2 = np.sort(r2.records[0]["gen"][r2.records[0]["counted"]])
-        assert np.array_equal(g1, g2)
+        params = SimParams(seed=13, packets_per_ue=1_000, replications=1)
+        c1, o1, _ = _run_replication(base, params, 0)
+        c2, o2, _ = _run_replication(base.with_scheme(Scheme.partial(0.7)),
+                                     params, 0)
+        M = params.packets_per_ue
+        for n in range(base.num_ues):
+            assert np.array_equal(c1["gen"][o1[n]:o1[n] + M],
+                                  c2["gen"][o2[n]:o2[n] + M])
 
 
 @pytest.fixture(scope="module")
 def run():
     cfg = SystemConfig.homogeneous(3, 0.2, 1.2, 1.8, 0.6, Scheme.partial(0.5))
-    params = SimParams(seed=21, packets_per_ue=2_000, replications=2,
-                       keep_records=True)
-    return cfg, params, simulate_mec(cfg, params)
+    params = SimParams(seed=21, packets_per_ue=2_000, replications=2)
+    reps = [_run_replication(cfg, params, rep) for rep in range(2)]
+    return cfg, params, simulate_mec(cfg, params), reps
 
 
 class TestRecords:
     def test_stage_ordering(self, run):
-        _, _, res = run
-        for rows in res.records:
-            assert np.all(rows["gen"] <= rows["edge_done"])
-            assert np.all(rows["edge_done"] <= rows["tx_done"])
-            assert np.all(rows["tx_done"] <= rows["local_done"])
+        *_, reps = run
+        for cols, _, _ in reps:
+            assert np.all(cols["gen"] <= cols["edge_done"])
+            assert np.all(cols["edge_done"] <= cols["tx_done"])
+            assert np.all(cols["tx_done"] <= cols["local_done"])
 
     def test_wait_service_decomposition(self, run):
-        _, _, res = run
-        rows = res.records[0]
-        assert np.allclose(rows["edge_done"],
-                           rows["gen"] + rows["wait_edge"] + rows["serv_edge"])
-        assert np.allclose(rows["tx_done"],
-                           rows["edge_done"] + rows["wait_tx"] + rows["serv_tx"])
-        assert np.allclose(rows["local_done"],
-                           rows["tx_done"] + rows["wait_local"]
-                           + rows["serv_local"])
-        for key in ("wait_edge", "serv_edge", "wait_tx", "serv_tx",
-                    "wait_local", "serv_local"):
-            assert np.all(rows[key] >= 0.0)
+        # done = arrival + wait + service at every stage; the service times
+        # this leaves are positive with the stage's mean
+        cfg, *_, reps = run
+        cols, offsets, _ = reps[0]
+        serv_edge = cols["edge_done"] - cols["gen"] - cols["wait_edge"]
+        serv_tx = cols["tx_done"] - cols["edge_done"] - cols["wait_tx"]
+        serv_local = cols["local_done"] - cols["tx_done"] - cols["wait_local"]
+        for key in ("wait_edge", "wait_tx", "wait_local"):
+            assert np.all(cols[key] >= 0.0)
+        p = cfg.scheme.p
+        for serv, rate in ((serv_edge, cfg.edge_rate / p),
+                           (serv_tx, cfg.tx_rate),
+                           (serv_local, cfg.local_rates[0] / (1 - p))):
+            assert np.all(serv > 0.0)
+            assert np.mean(serv) == pytest.approx(1.0 / rate, rel=0.05)
+        for ue in ue_ranges(offsets):
+            assert np.mean(serv_local[ue]) == pytest.approx(
+                (1 - p) / cfg.local_rates[0], rel=0.08)
 
     def test_fcfs_departure_order(self, run):
-        _, _, res = run
-        rows = res.records[0]
+        *_, reps = run
+        cols, offsets, order = reps[0]
         # shared stages never reorder the merged stream
-        assert np.all(np.diff(rows["edge_done"]) >= 0)
-        assert np.all(np.diff(rows["tx_done"]) >= 0)
-        for n in range(3):
-            mine = rows[rows["ue"] == n]
-            assert np.all(np.diff(mine["local_done"]) >= 0)
+        assert np.all(np.diff(cols["gen"][order]) >= 0)
+        assert np.all(np.diff(cols["edge_done"][order]) >= 0)
+        assert np.all(np.diff(cols["tx_done"][order]) >= 0)
+        for ue in ue_ranges(offsets):
+            assert np.all(np.diff(cols["local_done"][ue]) >= 0)
 
     def test_counted_packets_per_ue(self, run):
-        cfg, params, res = run
-        rows = res.records[0]
-        for n in range(cfg.num_ues):
-            mine = rows[rows["ue"] == n]
-            assert int(mine["counted"].sum()) == params.packets_per_ue
+        cfg, params, _, reps = run
+        M = params.packets_per_ue
+        cols, offsets, order = reps[0]
+        assert offsets[0] == 0 and offsets[-1] == len(cols["gen"]) == len(order)
+        for ue in ue_ranges(offsets):
+            mine = cols["gen"][ue]
+            assert len(mine) >= M
             # padding keeps the shared queues loaded after a UE's own
             # quota is met; it is generated strictly later
-            pad = mine[~mine["counted"]]
-            if len(pad):
-                assert pad["gen"].min() > mine["gen"][mine["counted"]].max()
+            if len(mine) > M:
+                assert mine[M:].min() > mine[:M].max()
 
-    def test_delivered_counts_and_finite_cis(self, run):
-        cfg, params, res = run
-        assert res.diagnostics.delivered == (params.packets_per_ue,) * 3
+    def test_replication_count_and_finite_cis(self, run):
+        _, _, res, _ = run
         assert res.diagnostics.replications == 2
         assert math.isfinite(res.system_aoi.ci95)
         for est in res.per_ue_paoi:
@@ -331,35 +328,31 @@ class TestRecords:
     def test_invariants_hold_over_random_runs(self, n, lam, p, seed):
         cfg = SystemConfig.homogeneous(n, lam, 1.5, 2.0, 1.0,
                                        Scheme.partial(p))
-        res = simulate_mec(cfg, SimParams(seed=seed, packets_per_ue=300,
-                                          replications=1, keep_records=True))
-        rows = res.records[0]
-        assert np.all(rows["gen"] <= rows["edge_done"])
-        assert np.all(rows["edge_done"] <= rows["tx_done"])
-        assert np.all(rows["tx_done"] <= rows["local_done"])
-        assert np.all(np.diff(rows["tx_done"]) >= 0)
+        cols, offsets, order = _run_replication(
+            cfg, SimParams(seed=seed, packets_per_ue=300, replications=1), 0)
+        assert np.all(cols["gen"] <= cols["edge_done"])
+        assert np.all(cols["edge_done"] <= cols["tx_done"])
+        assert np.all(cols["tx_done"] <= cols["local_done"])
+        assert np.all(np.diff(cols["tx_done"][order]) >= 0)
+        assert np.all(np.diff(offsets) >= 300)
 
 
 class TestSchemeStages:
     def test_local_scheme_skips_edge_stage(self):
         cfg = SystemConfig.homogeneous(2, 0.3, 1.0, 2.0, 1.5, Scheme.local())
-        res = simulate_mec(cfg, SimParams(seed=4, packets_per_ue=500,
-                                          replications=1, keep_records=True))
-        rows = res.records[0]
-        assert np.all(rows["wait_edge"] == 0.0)
-        assert np.all(rows["serv_edge"] == 0.0)
-        assert np.array_equal(rows["edge_done"], rows["gen"])
-        assert res.diagnostics.max_edge_queue == 0
+        params = SimParams(seed=4, packets_per_ue=500, replications=1)
+        cols, _, _ = _run_replication(cfg, params, 0)
+        assert np.all(cols["wait_edge"] == 0.0)
+        assert np.array_equal(cols["edge_done"], cols["gen"])
+        assert simulate_mec(cfg, params).diagnostics.max_edge_queue == 0
 
     def test_edge_scheme_skips_local_stage(self):
         cfg = SystemConfig.homogeneous(2, 0.3, 1.0, 2.0, 1.5, Scheme.edge())
-        res = simulate_mec(cfg, SimParams(seed=4, packets_per_ue=500,
-                                          replications=1, keep_records=True))
-        rows = res.records[0]
-        assert np.all(rows["wait_local"] == 0.0)
-        assert np.all(rows["serv_local"] == 0.0)
-        assert np.array_equal(rows["local_done"], rows["tx_done"])
-        assert res.diagnostics.max_local_queues == (0, 0)
+        params = SimParams(seed=4, packets_per_ue=500, replications=1)
+        cols, _, _ = _run_replication(cfg, params, 0)
+        assert np.all(cols["wait_local"] == 0.0)
+        assert np.array_equal(cols["local_done"], cols["tx_done"])
+        assert simulate_mec(cfg, params).diagnostics.max_local_queues == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +507,6 @@ class TestGeometricOccupancy:
         cfg = SystemConfig.homogeneous(1, 0.3, 1.0, 2.0, 1.0, Scheme.local())
         res = simulate_mec(cfg, SimParams(seed=44, packets_per_ue=1_000))
         assert res.correlations is None
-        assert res.records is None
 
 
 class TestDivergence:
