@@ -16,7 +16,6 @@ from .model import (
     ConfigParseError,
     DerivedRates,
     EmptyStableInterval,
-    InsufficientData,
     InvalidParams,
     NotHomogeneous,
     Scheme,
@@ -68,7 +67,6 @@ __all__ = [
     "UnstableConfig",
     "NotHomogeneous",
     "SingularityUnresolved",
-    "InsufficientData",
     "InvalidParams",
     "ConfigParseError",
     "EmptyStableInterval",

@@ -43,11 +43,9 @@ from .model import (
     Scheme,
     SingularityUnresolved,
     SystemConfig,
-    UnstableConfig,
     check_stability,
     derive_rates,
     is_homogeneous,
-    normalize_scheme,
     require_stable,
 )
 
@@ -465,6 +463,5 @@ def p_opt_paoi(cfg: SystemConfig) -> POptResult:
         branch = "interior"
         condition = "stationary point of the peak-AoI curve, clamped to [0, 1]"
 
-    at_p = normalize_scheme(cfg.with_scheme(Scheme.partial(p)))
     return POptResult(p=p, branch=branch, condition=condition,
-                      stable=check_stability(at_p).stable)
+                      stable=check_stability(cfg.with_scheme(Scheme.partial(p))).stable)

@@ -41,7 +41,6 @@ from .model import (
     UnstableConfig,
     check_stability,
     is_homogeneous,
-    normalize_scheme,
     require_stable,
 )
 from .simulate import DivergenceWarning, SimParams, simulate_mec
@@ -204,33 +203,27 @@ def load_config(path) -> SystemConfig:
     return cfg
 
 
-def _config_from(kv: _KeyValues) -> SystemConfig:
-    n_ues = kv.take_int("n_ues", required=True)
-    lambdas, lam_line = kv.take_float_list("lambda", required=True)
+def _config_from(kv: _KeyValues, swept=None, first=None, scheme=None) -> SystemConfig:
+    """Read the system keys; raises ConfigParseError with file:line.
+
+    A sweep passes its axis, the axis's first value and a scheme in place
+    of the keys it leaves out of the file: lambda for lambda_h, n_ues for
+    n_ues, and scheme/p for every axis.
+    """
+    n_ues = int(first) if swept == "n_ues" else kv.take_int("n_ues", required=True)
+    lambdas, lam_line = (([first], None) if swept == "lambda_h"
+                         else kv.take_float_list("lambda", required=True))
     mu_b = kv.take_float("mu_b", required=True)
     mu_d = kv.take_float("mu_d", required=True)
     mu_local, mul_line = kv.take_float_list("mu_local", required=True)
-    scheme_text, scheme_line = kv.take("scheme", required=True)
-    p_text, p_line = kv.take("p")
-
-    scheme_text = scheme_text.lower()
-    if scheme_text == "partial":
-        if p_text is None:
-            kv.error(scheme_line, "scheme = partial requires a 'p' key")
-        try:
-            p = float(p_text)
-        except ValueError:
-            kv.error(p_line, f"p must be a number, got {p_text!r}")
-        try:
-            scheme = Scheme.partial(p)
-        except ValueError as exc:
-            kv.error(p_line, str(exc))
-    elif scheme_text in ("local", "edge"):
-        if p_text is not None:
-            kv.error(p_line, f"'p' only applies to scheme = partial (scheme is {scheme_text})")
-        scheme = Scheme.local() if scheme_text == "local" else Scheme.edge()
-    else:
-        kv.error(scheme_line, f"unknown scheme {scheme_text!r} (expected local, edge, or partial)")
+    if scheme is None:
+        scheme = _scheme_from(kv)
+    if swept in ("lambda_h", "n_ues"):
+        # These axes rescale homogeneous systems, so scalars only.
+        for key, values, lineno in (("mu_local", mu_local, mul_line),
+                                    ("lambda", lambdas, lam_line)):
+            if len(values) != 1:
+                kv.error(lineno, f"sweeping {swept} needs a scalar {key} (homogeneous UEs)")
 
     if n_ues < 1:
         kv.error(None, f"n_ues must be >= 1, got {n_ues}")
@@ -240,6 +233,29 @@ def _config_from(kv: _KeyValues) -> SystemConfig:
         return SystemConfig(n_ues, gen, mu_b, mu_d, loc, scheme)
     except ValueError as exc:
         kv.error(None, str(exc))
+
+
+def _scheme_from(kv: _KeyValues) -> Scheme:
+    """The scheme key, plus p for the partial scheme."""
+    scheme_text, scheme_line = kv.take("scheme", required=True)
+    p_text, p_line = kv.take("p")
+    scheme_text = scheme_text.lower()
+    if scheme_text == "partial":
+        if p_text is None:
+            kv.error(scheme_line, "scheme = partial requires a 'p' key")
+        try:
+            p = float(p_text)
+        except ValueError:
+            kv.error(p_line, f"p must be a number, got {p_text!r}")
+        try:
+            return Scheme.partial(p)
+        except ValueError as exc:
+            kv.error(p_line, str(exc))
+    if scheme_text in ("local", "edge"):
+        if p_text is not None:
+            kv.error(p_line, f"'p' only applies to scheme = partial (scheme is {scheme_text})")
+        return Scheme.local() if scheme_text == "local" else Scheme.edge()
+    kv.error(scheme_line, f"unknown scheme {scheme_text!r} (expected local, edge, or partial)")
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +269,9 @@ SWEPT_PARAMETERS = ("lambda_h", "n_ues", "p")
 class SweepSpec:
     """One experiment sweep: a parameter axis crossed with a list of schemes.
 
-    For swept = "p" the schemes list is a single placeholder and every row
-    is the partial scheme at the row's value.
+    base is the system of the first row. For swept = "p" the schemes list
+    is a single placeholder and every row is the partial scheme at the
+    row's value.
     """
 
     swept: str
@@ -308,63 +325,27 @@ def load_sweep_spec(path, *, seed=None, packets=None, warmup=None, reps=None,
                 kv.error(values_line, f"lambda_h values must be positive, got {v:g}")
 
     simulate = kv.take_bool("simulate", default=False) or force_simulate
-    file_seed = kv.take_int("seed")
-    file_packets = kv.take_int("packets")
-    file_warmup = kv.take_int("warmup")
-    file_reps = kv.take_int("reps")
-
-    base = _sweep_base_config(kv, swept, values)
+    params = _sim_params(dict(seed=seed, packets=packets, warmup=warmup, reps=reps), kv)
+    base = _config_from(kv, swept, values[0], schemes[0])
     kv.finish()
-
-    params = _make_sim_params(
-        seed if seed is not None else (file_seed if file_seed is not None else DEFAULT_SEED),
-        packets if packets is not None else (file_packets if file_packets is not None else DEFAULT_PACKETS),
-        warmup if warmup is not None else file_warmup,
-        reps if reps is not None else (file_reps if file_reps is not None else DEFAULT_REPS),
-    )
     return SweepSpec(swept, tuple(values), base, schemes, simulate, params)
 
 
-def _sweep_base_config(kv, swept, values):
-    """Build the base SystemConfig, filling the swept axis from values[0]."""
-    mu_b = kv.take_float("mu_b", required=True)
-    mu_d = kv.take_float("mu_d", required=True)
+def _sim_params(flags, kv=None) -> SimParams:
+    """Simulation settings: the flag, else the file key, else the default.
 
-    if swept == "p":
-        n_ues = kv.take_int("n_ues", required=True)
-        lambdas, lam_line = kv.take_float_list("lambda", required=True)
-        mu_local, mul_line = kv.take_float_list("mu_local", required=True)
-        gen = _per_ue(kv, "lambda", lambdas, lam_line, n_ues)
-        loc = _per_ue(kv, "mu_local", mu_local, mul_line, n_ues)
-        try:
-            return SystemConfig(n_ues, gen, mu_b, mu_d, loc, Scheme.partial(values[0]))
-        except ValueError as exc:
-            kv.error(None, str(exc))
+    A file key is read and checked even when a flag overrides it.
+    """
+    def pick(key, default):
+        in_file = kv.take_int(key) if kv is not None else None
+        if flags[key] is not None:
+            return flags[key]
+        return default if in_file is None else in_file
 
-    # The other two axes rescale homogeneous systems, so scalars only.
-    def scalar(key):
-        vals, lineno = kv.take_float_list(key, required=True)
-        if len(vals) != 1:
-            kv.error(lineno, f"sweeping {swept} needs a scalar {key} (homogeneous UEs)")
-        return vals[0]
-
-    mu_local = scalar("mu_local")
-    if swept == "lambda_h":
-        n_ues = kv.take_int("n_ues", required=True)
-        lambda_h = values[0]
-    else:  # n_ues sweep
-        lambda_h = scalar("lambda")
-        n_ues = int(values[0])
-    try:
-        return SystemConfig.homogeneous(n_ues, lambda_h, mu_b, mu_d, mu_local,
-                                        Scheme.partial(0.5))
-    except ValueError as exc:
-        kv.error(None, str(exc))
-
-
-def _make_sim_params(seed, packets, warmup, reps) -> SimParams:
-    return SimParams(seed=seed, packets_per_ue=packets,
-                     warmup_packets_per_ue=warmup, replications=reps)
+    return SimParams(seed=pick("seed", DEFAULT_SEED),
+                     packets_per_ue=pick("packets", DEFAULT_PACKETS),
+                     warmup_packets_per_ue=pick("warmup", None),
+                     replications=pick("reps", DEFAULT_REPS))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +390,11 @@ class ResultRow:
         )
 
 
-def _fill_analytic(row: ResultRow) -> bool:
-    """Populate analytic fields; returns False (and flags) if unstable."""
+def _fill_analytic(row: ResultRow) -> Optional[analytic.AoiMetrics]:
+    """Populate analytic fields and return the metrics; None (and a flag) if unstable."""
     if not check_stability(row.cfg).stable:
         row.status = "unstable"
-        return False
+        return None
     metrics = analytic.system_metrics(row.cfg)
     row.aoi = metrics.system_aoi
     row.paoi = metrics.system_paoi
@@ -422,7 +403,7 @@ def _fill_analytic(row: ResultRow) -> bool:
         row.aoi_low = bounds.lower
         row.aoi_up = bounds.upper
         row.gap_ratio = bounds.gap_ratio
-    return True
+    return metrics
 
 
 def _fill_simulated(row: ResultRow, params: SimParams):
@@ -441,19 +422,18 @@ def _fill_simulated(row: ResultRow, params: SimParams):
 
 
 def _sweep_row_config(spec: SweepSpec, value, scheme) -> SystemConfig:
-    if spec.swept == "lambda_h":
-        return SystemConfig.homogeneous(spec.base.num_ues, value, spec.base.edge_rate,
-                                        spec.base.tx_rate, spec.base.local_rates[0], scheme)
-    if spec.swept == "n_ues":
-        return SystemConfig.homogeneous(int(value), spec.base.gen_rates[0],
-                                        spec.base.edge_rate, spec.base.tx_rate,
-                                        spec.base.local_rates[0], scheme)
-    return spec.base.with_scheme(Scheme.partial(value))
+    base = spec.base
+    if spec.swept == "p":
+        return replace(base, scheme=Scheme.partial(value))
+    n = int(value) if spec.swept == "n_ues" else base.num_ues
+    lambda_h = value if spec.swept == "lambda_h" else base.gen_rates[0]
+    return replace(base, num_ues=n, gen_rates=(lambda_h,) * n,
+                   local_rates=base.local_rates[:1] * n, scheme=scheme)
 
 
 def _evaluate_sweep_row(spec: SweepSpec, index, value, scheme) -> ResultRow:
     row = ResultRow(spec.swept, value, _sweep_row_config(spec, value, scheme))
-    if _fill_analytic(row) and spec.simulate:
+    if _fill_analytic(row) is not None and spec.simulate:
         # Distinct seeds per row; row order fixes them, so parallel
         # execution cannot change the output.
         params = replace(spec.params, seed=(spec.params.seed + index) % 2 ** 64)
@@ -514,19 +494,15 @@ def cmd_analytic(args) -> int:
     print("config:", _describe_config(cfg))
     require_stable(cfg)
 
-    metrics = analytic.system_metrics(cfg)
+    row = ResultRow("", None, cfg)
+    metrics = _fill_analytic(row)
     print("per-ue aoi: ", "  ".join(_fmt(v) for v in metrics.per_ue_aoi))
     print("per-ue paoi:", "  ".join(_fmt(v) for v in metrics.per_ue_paoi))
-    print("system aoi:  %s" % _fmt(metrics.system_aoi))
-    print("system paoi: %s" % _fmt(metrics.system_paoi))
-
-    row = ResultRow("", None, cfg, aoi=metrics.system_aoi, paoi=metrics.system_paoi)
+    print("system aoi:  %s" % _fmt(row.aoi))
+    print("system paoi: %s" % _fmt(row.paoi))
     if is_homogeneous(cfg):
-        bounds = analytic.aoi_bounds(cfg)
-        row.aoi_low, row.aoi_up, row.gap_ratio = bounds.lower, bounds.upper, bounds.gap_ratio
         print("aoi bounds:  %s <= %s <= %s  (gap ratio %s)"
-              % (_fmt(bounds.lower), _fmt(metrics.system_aoi), _fmt(bounds.upper),
-                 _fmt(bounds.gap_ratio)))
+              % (_fmt(row.aoi_low), _fmt(row.aoi), _fmt(row.aoi_up), _fmt(row.gap_ratio)))
         popt = analytic.p_opt_paoi(cfg)
         print("p_opt (peak aoi): %s  branch=%s  stable=%s"
               % (_fmt(popt.p), popt.branch, popt.stable))
@@ -552,10 +528,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    params = _make_sim_params(args.seed if args.seed is not None else DEFAULT_SEED,
-                              args.packets if args.packets is not None else DEFAULT_PACKETS,
-                              args.warmup,
-                              args.reps if args.reps is not None else DEFAULT_REPS)
+    params = _sim_params(vars(args))
     print("config:", _describe_config(cfg))
     print("simulation: %d packets/UE, %d replications, seed %d"
           % (params.packets_per_ue, params.replications, params.seed))
@@ -606,12 +579,9 @@ def cmd_optimize(args) -> int:
               % (objective, _fmt(res.best_p), _fmt(res.best_value), res.method,
                  res.evaluations))
 
-    def aoi_at(p):
-        at_p = normalize_scheme(cfg.with_scheme(Scheme.partial(p)))
-        return analytic.system_metrics(at_p).system_aoi
-
     aoi_min = results["aoi"].best_value
-    gap = (aoi_at(results["paoi"].best_p) - aoi_min) / aoi_min
+    at_paoi_opt = cfg.with_scheme(Scheme.partial(results["paoi"].best_p))
+    gap = (analytic.system_metrics(at_paoi_opt).system_aoi - aoi_min) / aoi_min
     print("aoi penalty of the paoi-optimal ratio: %s" % _fmt(gap))
 
     if args.out:
@@ -684,19 +654,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigParseError as exc:
+    except (ConfigParseError, NotHomogeneous, InvalidParams) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NotHomogeneous as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidParams as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except UnstableConfig as exc:
-        print(f"unstable: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except EmptyStableInterval as exc:
+    except (UnstableConfig, EmptyStableInterval) as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 LOCAL = "local"
 EDGE = "edge"
@@ -39,10 +38,6 @@ class NotHomogeneous(Exception):
 
 class SingularityUnresolved(Exception):
     """Two-sided perturbation around a removable singularity disagreed."""
-
-
-class InsufficientData(Exception):
-    """An estimator was given fewer samples than it needs."""
 
 
 class InvalidParams(Exception):

@@ -22,10 +22,8 @@ from .model import (
     NotHomogeneous,
     Scheme,
     SystemConfig,
-    check_stability,
-    derive_rates,
+    UnstableConfig,
     is_homogeneous,
-    normalize_scheme,
 )
 from . import analytic
 
@@ -38,10 +36,9 @@ _OBJECTIVES = ("aoi", "paoi")
 class OptResult:
     """Outcome of an offloading-ratio optimization.
 
-    method is "closed_form" (peak-AoI formula), "golden" (grid scan plus
-    local refinement) or "grid" (scan only, used when the AoI objective
-    does not look unimodal on the grid). evaluations counts objective
-    evaluations, zero for the closed form.
+    method is "golden" (grid scan plus local refinement) or "grid" (scan
+    only, used when the AoI objective does not look unimodal on the
+    grid). evaluations counts objective evaluations at stable ratios.
     """
 
     best_p: float
@@ -92,29 +89,6 @@ def stable_p_interval(cfg: SystemConfig) -> Optional[tuple[float, float]]:
     return (p_min, p_max)
 
 
-def _objective_fn(cfg: SystemConfig, objective: str):
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-
-    def f(p: float) -> float:
-        candidate = normalize_scheme(cfg.with_scheme(Scheme.partial(float(p))))
-        metrics = analytic.system_metrics(candidate)
-        return metrics.system_aoi if objective == "aoi" else metrics.system_paoi
-
-    return f
-
-
-def _stable_grid(cfg: SystemConfig, interval: tuple[float, float],
-                 resolution: float) -> np.ndarray:
-    p_min, p_max = interval
-    steps = max(1, int(math.ceil((p_max - p_min) / resolution)))
-    grid = np.linspace(p_min, p_max, steps + 1)
-    keep = [p for p in grid
-            if check_stability(normalize_scheme(
-                cfg.with_scheme(Scheme.partial(float(p))))).stable]
-    return np.asarray(keep)
-
-
 def _single_local_minimum(values: np.ndarray) -> bool:
     # signs of the nonzero first differences must read -...-+...+
     diffs = np.diff(values)
@@ -137,6 +111,8 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
     around the best grid point down to 1e-6. Ties break toward smaller
     p. Raises EmptyStableInterval when no ratio stabilizes the system.
     """
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     if not 0 < resolution <= 0.5:
         raise ValueError(f"resolution must be in (0, 0.5], got {resolution}")
     interval = stable_p_interval(cfg)
@@ -144,17 +120,26 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
         raise EmptyStableInterval(
             "no offloading ratio stabilizes this system (check lam < mu_d "
             "and the edge/local service rates)")
-    f = _objective_fn(cfg, objective)
 
     evals = 0
 
     def counted(p: float) -> float:
         nonlocal evals
+        metrics = analytic.system_metrics(cfg.with_scheme(Scheme.partial(float(p))))
         evals += 1
-        return f(p)
+        return metrics.system_aoi if objective == "aoi" else metrics.system_paoi
 
-    grid = _stable_grid(cfg, interval, resolution)
-    values = np.array([counted(p) for p in grid])
+    # Interval ends from an active constraint are unstable: skipped, not counted.
+    p_min, p_max = interval
+    steps = max(1, int(math.ceil((p_max - p_min) / resolution)))
+    grid, values = [], []
+    for p in np.linspace(p_min, p_max, steps + 1):
+        try:
+            values.append(counted(p))
+        except UnstableConfig:
+            continue
+        grid.append(p)
+    grid, values = np.asarray(grid), np.asarray(values)
     best = int(np.argmin(values))
     best_p, best_value = float(grid[best]), float(values[best])
 
@@ -191,25 +176,6 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
     )
 
 
-def closed_form_paoi_opt(cfg: SystemConfig) -> OptResult:
-    """The closed-form peak-AoI optimum packaged like a search result."""
-    opt = analytic.p_opt_paoi(cfg)
-    interval = stable_p_interval(cfg)
-    if interval is None:
-        raise EmptyStableInterval(
-            "no offloading ratio stabilizes this system (check lam < mu_d "
-            "and the edge/local service rates)")
-    value = _objective_fn(cfg, "paoi")(opt.p)
-    return OptResult(
-        best_p=opt.p,
-        best_value=value,
-        objective="paoi",
-        method="closed_form",
-        stable_interval=interval,
-        evaluations=0,
-    )
-
-
 def _infinite_metrics(n: int) -> analytic.AoiMetrics:
     return analytic.AoiMetrics(
         per_ue_aoi=(math.inf,) * n,
@@ -233,10 +199,9 @@ def compare_schemes(cfg: SystemConfig) -> SchemeComparison:
         "partial": Scheme.partial(opt.p),
     }
     for name, scheme in schemes.items():
-        candidate = normalize_scheme(cfg.with_scheme(scheme))
-        if check_stability(candidate).stable:
-            results[name] = analytic.system_metrics(candidate)
-        else:
+        try:
+            results[name] = analytic.system_metrics(cfg.with_scheme(scheme))
+        except UnstableConfig:
             results[name] = _infinite_metrics(cfg.num_ues)
     best_aoi = min(results, key=lambda k: results[k].system_aoi)
     best_paoi = min(results, key=lambda k: results[k].system_paoi)

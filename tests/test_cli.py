@@ -181,6 +181,28 @@ class TestSweepSpecParsing:
         with pytest.raises(ConfigParseError, match="scalar mu_local"):
             cli.load_sweep_spec(write(tmp_path, "s.cfg", text))
 
+    @pytest.mark.parametrize("swept, values, key, text", [
+        ("lambda_h", "0.1", "mu_local", "n_ues = 2\nmu_local = 0.25, 0.3\n"),
+        ("n_ues", "2, 3", "lambda", "lambda = 0.1, 0.2\nmu_local = 0.25\n"),
+    ])
+    def test_homogeneous_axes_reject_per_ue_lists(self, tmp_path, capsys, swept,
+                                                   values, key, text):
+        spec = (f"sweep = {swept}\nvalues = {values}\nschemes = local\n"
+                f"mu_b = 1.5\nmu_d = 1.8\n{text}")
+        code = cli.main(["sweep", "--config", write(tmp_path, "s.cfg", spec),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"sweeping {swept} needs a scalar {key}" in capsys.readouterr().err
+
+    def test_file_key_checked_under_a_flag(self, tmp_path, capsys):
+        text = ("sweep = lambda_h\nvalues = 0.1\nschemes = local\nseed = abc\n"
+                + self.BASE)
+        path = write(tmp_path, "s.cfg", text)
+        code = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv"),
+                         "--seed", "3"])
+        assert code == 2
+        assert f"{path}:4: seed must be an integer" in capsys.readouterr().err
+
     def test_cli_overrides_beat_file_keys(self, tmp_path):
         text = ("sweep = lambda_h\nvalues = 0.1\nschemes = local\nseed = 1\n"
                 "packets = 100\nreps = 4\n" + self.BASE)
@@ -545,6 +567,16 @@ class TestOptimizeCommand:
         assert row["objective"] == "aoi"
         assert row["p_selected"] == row["p_aoi"]
         assert float(row["aoi_gap_ratio"]) <= 0.02
+
+    def test_readme_search_lines(self, tmp_path, capsys):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            documented = [l.rstrip("\n") for l in fh if l.startswith("search (")]
+        cli.main(["optimize", "--config", write(tmp_path, "o.cfg", INTERIOR_CFG)])
+        printed = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("search (")]
+        assert len(documented) == 2
+        assert printed == documented
 
     def test_search_values_match_library(self, tmp_path, capsys):
         from aoi_mec import optimize as opt

@@ -18,7 +18,6 @@ from aoi_mec.model import (
 from aoi_mec import analytic as an
 from aoi_mec.optimize import (
     OptResult,
-    closed_form_paoi_opt,
     compare_schemes,
     search_p,
     stable_p_interval,
@@ -131,6 +130,16 @@ class TestSearchP:
         with pytest.raises(ValueError, match="resolution"):
             search_p(cfg, "paoi", resolution=0.0)
 
+    def test_unstable_interval_ends_are_skipped_not_counted(self):
+        # both interval ends come from active constraints, so neither is
+        # stable; at resolution 0.05 only the midpoint 0.45 survives
+        cfg = homog(4, 0.5, 1.0, 3.0, 0.3)
+        assert stable_p_interval(cfg) == pytest.approx((0.4, 0.5))
+        fine = search_p(cfg, "paoi")
+        assert (fine.evaluations, fine.best_p) == (120, 0.46866088649567816)
+        coarse = search_p(cfg, "paoi", resolution=0.05)
+        assert (coarse.evaluations, coarse.best_p) == (1, 0.45)
+
     def test_deterministic(self):
         cfg = homog(3, 0.2, 1.4, 2.0, 0.6)
         assert search_p(cfg, "aoi") == search_p(cfg, "aoi")
@@ -165,21 +174,6 @@ class TestSearchP:
         assume(opt.stable)
         res = search_p(cfg, "paoi")
         assert abs(res.best_p - opt.p) <= 1e-3
-
-
-class TestClosedFormWrapper:
-    def test_matches_p_opt(self):
-        cfg = homog(6, 0.2, 1.5, 1.8, 0.25)
-        res = closed_form_paoi_opt(cfg)
-        assert res.method == "closed_form"
-        assert res.evaluations == 0
-        assert res.best_p == an.p_opt_paoi(cfg).p
-        probe = normalize_scheme(cfg.with_scheme(Scheme.partial(res.best_p)))
-        assert res.best_value == an.system_metrics(probe).system_paoi
-
-    def test_empty_interval_raises(self):
-        with pytest.raises(EmptyStableInterval):
-            closed_form_paoi_opt(homog(2, 1.0, 5.0, 1.5, 5.0))
 
 
 class TestCompareSchemes:
