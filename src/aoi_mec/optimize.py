@@ -37,8 +37,9 @@ class OptResult:
     """Outcome of an offloading-ratio optimization.
 
     method is "golden" (grid scan plus local refinement) or "grid" (scan
-    only, used when the AoI objective does not look unimodal on the
-    grid). evaluations counts objective evaluations at stable ratios.
+    only, used when the AoI objective does not look unimodal on the grid
+    or when a single grid point is stable). evaluations counts objective
+    evaluations at stable ratios.
     """
 
     best_p: float
@@ -129,9 +130,11 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
         evals += 1
         return metrics.system_aoi if objective == "aoi" else metrics.system_paoi
 
-    # Interval ends from an active constraint are unstable: skipped, not counted.
+    # Interval ends from an active constraint are unstable: skipped, not
+    # counted. At least two steps keep the midpoint, a stable point, on
+    # the grid when the interval is narrower than the resolution.
     p_min, p_max = interval
-    steps = max(1, int(math.ceil((p_max - p_min) / resolution)))
+    steps = max(2, int(math.ceil((p_max - p_min) / resolution)))
     grid, values = [], []
     for p in np.linspace(p_min, p_max, steps + 1):
         try:
@@ -143,9 +146,10 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
     best = int(np.argmin(values))
     best_p, best_value = float(grid[best]), float(values[best])
 
-    refine = objective == "paoi" or _single_local_minimum(values)
+    refine = len(grid) > 1 and (objective == "paoi"
+                                or _single_local_minimum(values))
     method = "golden" if refine else "grid"
-    if refine and len(grid) > 1:
+    if refine:
         lo = grid[best - 1] if best > 0 else grid[best]
         hi = grid[best + 1] if best + 1 < len(grid) else grid[best]
         strict = (0 < best < len(grid) - 1

@@ -22,6 +22,10 @@ and the first packets_per_ue of them are counted (the rest is padding).
 The merge permutation order (a stable argsort of gen: time, then UE, then
 sequence number) gives the order in which the shared edge and
 transmission servers see the packets. Per-UE data is a slice view.
+Each stage's queue is counted once, where _run_replication builds the
+stage: the peak queues come from those counts, and one integer column,
+edge_found (present when the edge stage is real), keeps how many packets
+each generation found at the edge node, for the occupancy histogram.
 
 Randomness: one dedicated stream per UE for generation and one per server
 for services, each spawned from the master seed by a fixed key. Stream
@@ -213,12 +217,26 @@ def _generate_arrivals(cfg: SystemConfig, seed: int, rep: int, M: int):
     return times
 
 
-def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
-    """Simulate one replication; returns (cols, offsets, order).
+def _found(arrivals: np.ndarray, departures: np.ndarray) -> np.ndarray:
+    """How many packets each arrival finds at a FCFS stage.
 
-    cols maps each column name to a float array in UE-major layout (see
-    the module docstring), offsets[n]:offsets[n + 1] is UE n's range and
-    order is the merge permutation.
+    arrivals and departures are the stage's times in service order (both
+    non-decreasing). Arrival k finds the k packets ahead of it in that
+    order less those already gone: a departure at its very instant has
+    left, a simultaneous arrival earlier in the order is present.
+    """
+    found = np.arange(len(arrivals))
+    found -= np.searchsorted(departures, arrivals, side="right")
+    return found
+
+
+def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
+    """Simulate one replication; returns (cols, offsets, peaks).
+
+    cols maps each column name to an array in UE-major layout (see the
+    module docstring) and offsets[n]:offsets[n + 1] is UE n's range.
+    peaks lists the largest number in system at the edge, transmission
+    and each local queue, in that order; a pass-through stage has 0.
     """
     rates = derive_rates(cfg)
     N = cfg.num_ues
@@ -231,9 +249,11 @@ def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
     # deterministic merge: time, then UE id, then sequence number (the
     # stable sort keeps the UE-major order among equal times)
     order = np.argsort(gen, kind="stable")
+    peaks = [0] * (N + 2)
+    cols = {"gen": gen}
 
     def ue_major(merged):
-        out = np.empty(K)
+        out = np.empty_like(merged)
         out[order] = merged
         return out
 
@@ -247,14 +267,19 @@ def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
         s_edge = _stream(params.seed, rep, N).standard_exponential(K) / rates.eff_edge
         edge_done, wait_edge = _lindley(arrivals, s_edge)
         del s_edge
+        found = _found(arrivals, edge_done)
+        peaks[0] = int(found.max()) + 1
+        cols["edge_found"] = ue_major(found)
+        del found
     del arrivals
-    cols = {"gen": gen, "wait_edge": ue_major(wait_edge)}
+    cols["wait_edge"] = ue_major(wait_edge)
     del wait_edge
 
     # Stage 2: shared transmission server (always a real stage).
     s_tx = _stream(params.seed, rep, N + 1).standard_exponential(K) / cfg.tx_rate
     tx_done, wait_tx = _lindley(edge_done, s_tx)
     del s_tx
+    peaks[1] = int(_found(edge_done, tx_done).max()) + 1
     cols["edge_done"] = ue_major(edge_done)
     del edge_done
     cols["tx_done"] = ue_major(tx_done)
@@ -274,16 +299,9 @@ def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
                  .standard_exponential(ue.stop - ue.start) / u)
         cols["local_done"][ue], cols["wait_local"][ue] = _lindley(
             cols["tx_done"][ue], s_loc)
-    return cols, offsets, order
-
-
-def _max_in_system(arrivals: np.ndarray, departures: np.ndarray) -> int:
-    """Peak number in system, sampled just after each arrival."""
-    if len(arrivals) == 0:
-        return 0
-    present = np.arange(1, len(arrivals) + 1) - np.searchsorted(
-        departures, arrivals, side="right")
-    return int(present.max())
+        peaks[2 + n] = int(_found(cols["tx_done"][ue],
+                                  cols["local_done"][ue]).max()) + 1
+    return cols, offsets, peaks
 
 
 def _estimate_ue(ue: dict, M: int, W: int, want_corr: bool):
@@ -325,26 +343,6 @@ def _estimate_ue(ue: dict, M: int, W: int, want_corr: bool):
     return out
 
 
-def _edge_occupancy_own0(all_gen: np.ndarray, all_done: np.ndarray,
-                         ue: dict, M: int, W: int) -> np.ndarray:
-    """Other-UE edge-node occupancy at retained generation instants that
-    found no own packet there (the conditioning of the geometric law).
-
-    all_gen and all_done are every packet's generation and edge completion
-    times in merge order (both non-decreasing, FCFS); ue is one UE's
-    columns. Completions tie-break before generations: a packet completing
-    exactly at the observation instant has left, the observed packet
-    itself has not yet arrived.
-    """
-    t_obs = ue["gen"][W:M]
-    total = (np.searchsorted(all_gen, t_obs, side="left")
-             - np.searchsorted(all_done, t_obs, side="right"))
-    own = (np.searchsorted(ue["gen"], t_obs, side="left")
-           - np.searchsorted(ue["edge_done"], t_obs, side="right"))
-    others = total - own
-    return others[own == 0]
-
-
 def _aggregate(values: np.ndarray) -> Estimate:
     """Pool replication-level estimates into value / SE / 95% CI."""
     r = len(values)
@@ -372,7 +370,6 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
             f"pairs; got packets_per_ue={M}, warmup={W}")
     R = params.replications
     want_corr = params.record_correlations
-    rates = derive_rates(cfg)
 
     scalar_keys = ["aoi", "paoi"]
     if want_corr:
@@ -381,39 +378,33 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
                         "cov_y_wedge", "cov_y_wtx", "cov_y_wlocal"]
     acc = {k: np.zeros((R, N)) for k in scalar_keys}
     hists = [np.zeros(0, dtype=np.int64) for _ in range(N)]
-    max_edge = max_tx = 0
-    max_local = [0] * N
+    peaks = [0] * (N + 2)
     sim_time = 0.0
-    diverged = False
 
     for rep in range(R):
-        cols, offsets, order = _run_replication(cfg, params, rep)
+        cols, offsets, rep_peaks = _run_replication(cfg, params, rep)
+        peaks = [max(a, b) for a, b in zip(peaks, rep_peaks)]
         sim_time = max(sim_time, float(cols["local_done"].max()))
-        # the shared stages' queues are read in merge order
-        gen, edge_done = cols["gen"][order], cols["edge_done"][order]
-        if math.isfinite(rates.eff_edge):
-            max_edge = max(max_edge, _max_in_system(gen, edge_done))
-        max_tx = max(max_tx, _max_in_system(edge_done, cols["tx_done"][order]))
         for n in range(N):
             ue = {k: v[offsets[n]:offsets[n + 1]] for k, v in cols.items()}
-            if math.isfinite(rates.eff_local[n]):
-                max_local[n] = max(max_local[n], _max_in_system(
-                    ue["tx_done"], ue["local_done"]))
             est = _estimate_ue(ue, M, W, want_corr)
             for k, v in est.items():
                 acc[k][rep, n] = v
-            if want_corr and math.isfinite(rates.eff_edge):
-                counts = _edge_occupancy_own0(gen, edge_done, ue, M, W)
-                h = np.bincount(counts)
+            if want_corr and "edge_found" in ue:
+                # the geometric law conditions on finding none of the UE's
+                # own packets at the edge node: all it finds is other UEs'
+                own = np.arange(W, M) - np.searchsorted(
+                    ue["edge_done"], ue["gen"][W:M], side="right")
+                h = np.bincount(ue["edge_found"][W:M][own == 0])
                 if len(h) > len(hists[n]):
                     h, hists[n] = hists[n], h.astype(np.int64)
                 hists[n][:len(h)] += h
         # release this replication's arrays before the next one is built
-        del cols, order, gen, edge_done, ue
+        del cols, ue
 
     cap = params.queue_cap
-    if max(max_edge, max_tx, *max_local, 0) > cap:
-        diverged = True
+    diverged = max(peaks) > cap
+    if diverged:
         warnings.warn(
             f"a queue exceeded {cap} packets; the system is likely unstable "
             "and the estimates will grow with run length", DivergenceWarning,
@@ -442,9 +433,9 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
         )
 
     diag = Diagnostics(
-        max_edge_queue=max_edge,
-        max_tx_queue=max_tx,
-        max_local_queues=tuple(max_local),
+        max_edge_queue=peaks[0],
+        max_tx_queue=peaks[1],
+        max_local_queues=tuple(peaks[2:]),
         sim_time=sim_time,
         diverged=diverged,
         near_unstable=check_stability(cfg).near_unstable,

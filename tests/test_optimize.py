@@ -139,6 +139,24 @@ class TestSearchP:
         assert (fine.evaluations, fine.best_p) == (120, 0.46866088649567816)
         coarse = search_p(cfg, "paoi", resolution=0.05)
         assert (coarse.evaluations, coarse.best_p) == (1, 0.45)
+        assert coarse.method == "grid"  # one stable point: nothing to refine
+
+    @pytest.mark.parametrize("cfg", [
+        # both interval ends unstable: the grid was only the two ends
+        homog(3, 0.457214, 1.020854, 2.171, 0.120377),
+        # p_min counts as stable by rounding alone, at a value of ~1.8e16
+        homog(3, 0.4572, 1.0209, 2.171, 0.1204),
+    ])
+    @pytest.mark.parametrize("objective", ["aoi", "paoi"])
+    def test_interval_narrower_than_resolution(self, cfg, objective):
+        # the midpoint keeps a stable point on the grid
+        lo, hi = stable_p_interval(cfg)
+        assert hi - lo < 0.05
+        coarse = search_p(cfg, objective, resolution=0.05)
+        fine = search_p(cfg, objective, resolution=1e-3)
+        assert lo < coarse.best_p < hi
+        assert math.isfinite(coarse.best_value)
+        assert coarse.best_value == pytest.approx(fine.best_value, rel=1e-3)
 
     def test_deterministic(self):
         cfg = homog(3, 0.2, 1.4, 2.0, 0.6)

@@ -24,6 +24,7 @@ from aoi_mec.simulate import (
     Estimate,
     SimParams,
     _estimate_ue,
+    _found,
     _run_replication,
     simulate_mec,
 )
@@ -212,10 +213,18 @@ class TestDeterminism:
         assert repr(res.correlations.yw_tx[1]) == (
             "Estimate(value=0.6538401396562373, se=0.09237708729450056, "
             "ci95=1.1737621840954062)")
+        # the queue counts: peaks and the edge-occupancy histogram
+        assert repr(res.diagnostics) == (
+            "Diagnostics(max_edge_queue=6, max_tx_queue=7, "
+            "max_local_queues=(5, 5), sim_time=10339.171744537625, "
+            "diverged=False, near_unstable=False, replications=2)")
+        assert res.correlations.edge_others_hist_own0 == (
+            (2861, 290, 26, 2, 0, 1), (2851, 327, 28, 2))
 
     def test_boundary_partial_matches_pure_scheme_bitwise(self):
-        # Partial(0)/Partial(1) normalize to Local/Edge inside the engine,
-        # and the stream layout keeps the randomness identical.
+        # The engine reads the scheme only through derive_rates, which sees
+        # p alone (Local has p = 0 and Edge p = 1), and the stream layout
+        # keeps the randomness identical.
         base = SystemConfig.homogeneous(2, 0.25, 1.4, 2.2, 0.9, Scheme.local())
         params = SimParams(seed=9, packets_per_ue=4_000, replications=2)
         res_local = simulate_mec(base, params)
@@ -281,8 +290,9 @@ class TestRecords:
 
     def test_fcfs_departure_order(self, run):
         *_, reps = run
-        cols, offsets, order = reps[0]
+        cols, offsets, _ = reps[0]
         # shared stages never reorder the merged stream
+        order = np.argsort(cols["gen"], kind="stable")
         assert np.all(np.diff(cols["gen"][order]) >= 0)
         assert np.all(np.diff(cols["edge_done"][order]) >= 0)
         assert np.all(np.diff(cols["tx_done"][order]) >= 0)
@@ -292,8 +302,8 @@ class TestRecords:
     def test_counted_packets_per_ue(self, run):
         cfg, params, _, reps = run
         M = params.packets_per_ue
-        cols, offsets, order = reps[0]
-        assert offsets[0] == 0 and offsets[-1] == len(cols["gen"]) == len(order)
+        cols, offsets, _ = reps[0]
+        assert offsets[0] == 0 and offsets[-1] == len(cols["gen"])
         for ue in ue_ranges(offsets):
             mine = cols["gen"][ue]
             assert len(mine) >= M
@@ -328,11 +338,12 @@ class TestRecords:
     def test_invariants_hold_over_random_runs(self, n, lam, p, seed):
         cfg = SystemConfig.homogeneous(n, lam, 1.5, 2.0, 1.0,
                                        Scheme.partial(p))
-        cols, offsets, order = _run_replication(
+        cols, offsets, _ = _run_replication(
             cfg, SimParams(seed=seed, packets_per_ue=300, replications=1), 0)
         assert np.all(cols["gen"] <= cols["edge_done"])
         assert np.all(cols["edge_done"] <= cols["tx_done"])
         assert np.all(cols["tx_done"] <= cols["local_done"])
+        order = np.argsort(cols["gen"], kind="stable")
         assert np.all(np.diff(cols["tx_done"][order]) >= 0)
         assert np.all(np.diff(offsets) >= 300)
 
@@ -353,6 +364,51 @@ class TestSchemeStages:
         assert np.all(cols["wait_local"] == 0.0)
         assert np.array_equal(cols["local_done"], cols["tx_done"])
         assert simulate_mec(cfg, params).diagnostics.max_local_queues == (0, 0)
+
+
+def in_system(arrivals, departures, t):
+    # brute force: packets that arrived before t and leave after it
+    return int(np.sum((arrivals < t) & (departures > t)))
+
+
+class TestQueueCounts:
+    def test_found_counts_and_tie_rules(self):
+        # packet 0 leaves at 1 exactly as packet 1 arrives: gone. Packet 2
+        # arrives at 1 too, later in service order: it finds packet 1.
+        arrivals = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
+        departures = np.array([1.0, 1.5, 2.0, 3.5, 4.0])
+        assert _found(arrivals, departures).tolist() == [0, 0, 1, 0, 1]
+
+    def test_peaks_match_a_brute_force_count(self):
+        cfg = SystemConfig.homogeneous(2, 0.3, 1.0, 1.4, 0.7,
+                                       Scheme.partial(0.5))
+        cols, offsets, peaks = _run_replication(
+            cfg, SimParams(seed=8, packets_per_ue=300), 0)
+        gen, edge, tx, local = (cols[k] for k in
+                                ("gen", "edge_done", "tx_done", "local_done"))
+        # each arrival counts itself, hence the + 1
+        want = [1 + max(in_system(a, d, t) for t in a)
+                for a, d in ((gen, edge), (edge, tx))]
+        want += [1 + max(in_system(tx[ue], local[ue], t) for t in tx[ue])
+                 for ue in ue_ranges(offsets)]
+        assert peaks == want
+
+    def test_occupancy_histogram_matches_a_brute_force_count(self):
+        cfg = SystemConfig.homogeneous(3, 0.2, 1.0, 1.5, 0.8,
+                                       Scheme.partial(0.6))
+        params = SimParams(seed=17, packets_per_ue=400, replications=1,
+                           record_correlations=True)
+        cols, offsets, _ = _run_replication(cfg, params, 0)
+        corr = simulate_mec(cfg, params).correlations
+        M, W = params.packets_per_ue, params.warmup()
+        gen, edge = cols["gen"], cols["edge_done"]
+        for n, ue in enumerate(ue_ranges(offsets)):
+            mine = np.zeros(len(gen), dtype=bool)
+            mine[ue] = True
+            counts = [in_system(gen[~mine], edge[~mine], t)
+                      for t in gen[ue][W:M]
+                      if in_system(gen[mine], edge[mine], t) == 0]
+            assert corr.edge_others_hist_own0[n] == tuple(np.bincount(counts))
 
 
 # ---------------------------------------------------------------------------
