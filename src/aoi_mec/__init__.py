@@ -1,13 +1,23 @@
 """Average AoI / peak AoI analysis of a multi-user MEC offloading system.
 
 Library layout:
-    model      - system parameterization, derived rates, stability
+    model      - system parameterization, derived rates, stability,
+                 error types, simulation controls (SimParams)
     analytic   - closed-form average AoI / PAoI, bounds, optimal ratio
     simulate   - discrete-event-equivalent tandem FCFS simulator + estimators
     optimize   - offloading-ratio search and scheme comparison
     validation - simulation vs closed forms, term by term
     cli        - command-line front end (analytic / sweep / validate / optimize)
+
+`import aoi_mec` loads model and analytic only, which need nothing beyond
+the standard library. The names that need numpy or scipy are served on
+first access (PEP 562): Estimate, SimResult and simulate_mec from
+simulate; OptResult, SchemeComparison, stable_p_interval, search_p and
+compare_schemes from optimize; run_validation from validation. So are
+the submodules simulate, optimize and validation themselves.
 """
+
+import importlib
 
 from .model import (
     EDGE,
@@ -15,10 +25,12 @@ from .model import (
     PARTIAL,
     ConfigParseError,
     DerivedRates,
+    DivergenceWarning,
     EmptyStableInterval,
     InvalidParams,
     NotHomogeneous,
     Scheme,
+    SimParams,
     SingularityUnresolved,
     StabilityReport,
     SystemConfig,
@@ -36,21 +48,24 @@ from .analytic import (
     p_opt_paoi,
     system_metrics,
 )
-from .simulate import (
-    DivergenceWarning,
-    Estimate,
-    SimParams,
-    SimResult,
-    simulate_mec,
-)
-from .optimize import (
-    OptResult,
-    SchemeComparison,
-    compare_schemes,
-    search_p,
-    stable_p_interval,
-)
-from .validation import run_validation
+
+_LAZY = {
+    "simulate": ("Estimate", "SimResult", "simulate_mec"),
+    "optimize": ("OptResult", "SchemeComparison", "stable_p_interval",
+                 "search_p", "compare_schemes"),
+    "validation": ("run_validation",),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY_HOME:
+        module = importlib.import_module(f"{__name__}.{_LAZY_HOME[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "LOCAL",

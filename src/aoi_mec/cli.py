@@ -30,21 +30,21 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import analytic, optimize
+from . import analytic
 from .model import (
     ConfigParseError,
+    DivergenceWarning,
     EmptyStableInterval,
     InvalidParams,
     NotHomogeneous,
     Scheme,
+    SimParams,
     SystemConfig,
     UnstableConfig,
     check_stability,
     is_homogeneous,
     require_stable,
 )
-from .simulate import DivergenceWarning, SimParams, simulate_mec
-from .validation import run_validation
 
 DEFAULT_SEED = 12345
 DEFAULT_PACKETS = 20_000
@@ -54,6 +54,20 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
 EXIT_VALIDATION = 4
+
+
+def __getattr__(name):
+    # The simulator, the optimizer and the validation report load numpy
+    # and scipy, so the commands that need them import them on first use
+    # and the closed-form commands never do. These two names stay
+    # attributes of the CLI module, served from their home modules.
+    if name == "simulate_mec":
+        from . import simulate
+        return simulate.simulate_mec
+    if name == "run_validation":
+        from . import validation
+        return validation.run_validation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(x) -> str:
@@ -407,9 +421,11 @@ def _fill_analytic(row: ResultRow) -> Optional[analytic.AoiMetrics]:
 
 
 def _fill_simulated(row: ResultRow, params: SimParams):
+    from . import simulate  # loaded by run_sweep before its threads start
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DivergenceWarning)
-        result = simulate_mec(row.cfg, params)
+        result = simulate.simulate_mec(row.cfg, params)
     if result.diagnostics.diverged:
         row.status = "diverged"
         return
@@ -462,6 +478,8 @@ def run_sweep(spec: SweepSpec):
              for index, (value, scheme) in enumerate(
                  (v, s) for v in spec.values for s in spec.schemes)]
     workers = _max_workers(len(tasks))
+    if spec.simulate:
+        from . import simulate  # noqa: F401  (import once, not on a row thread)
     if workers == 1:
         return [_evaluate_sweep_row(spec, *task) for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -532,7 +550,9 @@ def cmd_validate(args) -> int:
     print("config:", _describe_config(cfg))
     print("simulation: %d packets/UE, %d replications, seed %d"
           % (params.packets_per_ue, params.replications, params.seed))
-    report = run_validation(cfg, params)
+    from . import validation
+
+    report = validation.run_validation(cfg, params)
 
     print("%-14s %14s %14s %12s %8s  %s"
           % ("term", "analytic", "simulated", "se", "z", "verdict"))
@@ -556,6 +576,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimize
+
     cfg = load_config(args.config)
     if not is_homogeneous(cfg):
         raise NotHomogeneous("optimization over p assumes homogeneous UEs")

@@ -1,4 +1,5 @@
-"""System parameterization, derived rates, and stability checks.
+"""System parameterization, derived rates, stability checks, the error
+types, and the simulation controls (SimParams).
 
 The system is a three-stage tandem of FCFS queues shared by N user
 equipments (UEs): a single computation queue at the edge server, a single
@@ -11,13 +12,16 @@ The boundary values p = 0 (all work local) and p = 1 (all work at the edge)
 turn the corresponding stage into a zero-delay pass-through, represented
 here by an infinite effective rate.
 
-Everything in this module is a pure function over immutable values.
+Everything in this module is a pure function over immutable values, and
+it imports only the standard library: the closed-form path (model and
+analytic) never loads numpy or scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 LOCAL = "local"
 EDGE = "edge"
@@ -50,6 +54,10 @@ class ConfigParseError(Exception):
 
 class EmptyStableInterval(Exception):
     """No offloading ratio stabilizes the system."""
+
+
+class DivergenceWarning(RuntimeWarning):
+    """A queue grew past the configured cap (expected for unstable runs)."""
 
 
 @dataclass(frozen=True)
@@ -261,3 +269,41 @@ def normalize_scheme(cfg: SystemConfig) -> SystemConfig:
         if cfg.scheme.p == 1.0:
             return cfg.with_scheme(Scheme.edge())
     return cfg
+
+
+@dataclass(frozen=True)
+class SimParams:
+    """Simulation controls (the simulator is aoi_mec.simulate).
+
+    warmup_packets_per_ue=None discards the first 10% of each UE's packets.
+    record_correlations additionally estimates the E[Y W] terms, their
+    event-conditioned splits, and the queue-occupancy statistics used by
+    the geometric-distribution check.
+    """
+
+    seed: int
+    packets_per_ue: int
+    warmup_packets_per_ue: Optional[int] = None
+    replications: int = 10
+    record_correlations: bool = False
+    queue_cap: int = 100_000
+
+    def __post_init__(self):
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise InvalidParams(f"seed must fit in 64 bits, got {self.seed}")
+        if self.packets_per_ue < 1:
+            raise InvalidParams("packets_per_ue must be >= 1")
+        w = self.warmup()
+        if not 0 <= w < self.packets_per_ue:
+            raise InvalidParams(
+                f"need packets_per_ue > warmup >= 0, got {self.packets_per_ue}"
+                f" and {w}")
+        if self.replications < 1:
+            raise InvalidParams("replications must be >= 1")
+        if self.queue_cap < 1:
+            raise InvalidParams("queue_cap must be >= 1")
+
+    def warmup(self) -> int:
+        if self.warmup_packets_per_ue is None:
+            return self.packets_per_ue // 10
+        return int(self.warmup_packets_per_ue)

@@ -37,9 +37,8 @@ class OptResult:
     """Outcome of an offloading-ratio optimization.
 
     method is "golden" (grid scan plus local refinement) or "grid" (scan
-    only, used when the AoI objective does not look unimodal on the grid
-    or when a single grid point is stable). evaluations counts objective
-    evaluations at stable ratios.
+    only, used when the AoI objective does not look unimodal on the
+    grid). evaluations counts objective evaluations at stable ratios.
     """
 
     best_p: float
@@ -146,12 +145,16 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
     best = int(np.argmin(values))
     best_p, best_value = float(grid[best]), float(values[best])
 
-    refine = len(grid) > 1 and (objective == "paoi"
-                                or _single_local_minimum(values))
+    refine = objective == "paoi" or _single_local_minimum(values)
     method = "golden" if refine else "grid"
     if refine:
-        lo = grid[best - 1] if best > 0 else grid[best]
-        hi = grid[best + 1] if best + 1 < len(grid) else grid[best]
+        if len(grid) == 1:
+            # a lone stable point: both interval ends are unstable, and
+            # the bounded method below never evaluates its bounds
+            lo, hi = p_min, p_max
+        else:
+            lo = grid[best - 1] if best > 0 else grid[best]
+            hi = grid[best + 1] if best + 1 < len(grid) else grid[best]
         strict = (0 < best < len(grid) - 1
                   and values[best] < values[best - 1]
                   and values[best] < values[best + 1])

@@ -410,6 +410,59 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "False"
 
 
+# The closed forms need only the standard library; numpy and scipy load
+# with the simulator and the optimizer, on first use.
+HEAVY = "sorted(m for m in ('numpy', 'scipy') if m in sys.modules)"
+
+
+class TestLazyImports:
+    def test_package_import_loads_neither_numpy_nor_scipy(self):
+        proc = run_python("-c", f"import sys, aoi_mec; print({HEAVY})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_analytic_command_loads_neither_numpy_nor_scipy(self, tmp_path):
+        path = write(tmp_path, "r.cfg", LOW_UTIL_CFG)
+        proc = run_python("-c", "import sys; from aoi_mec import cli; "
+                                f"code = cli.main(['analytic', '--config', {path!r}]); "
+                                f"print(code, {HEAVY})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_every_exported_name_resolves(self):
+        proc = run_python("-c", """if True:
+            import aoi_mec
+            from aoi_mec import cli, simulate, optimize, validation
+            missing = [n for n in aoi_mec.__all__ if not hasattr(aoi_mec, n)]
+            assert missing == [], missing
+            assert aoi_mec.simulate_mec is simulate.simulate_mec
+            assert aoi_mec.SimParams is simulate.SimParams
+            assert aoi_mec.DivergenceWarning is simulate.DivergenceWarning
+            assert aoi_mec.search_p is optimize.search_p
+            assert aoi_mec.run_validation is validation.run_validation
+            assert cli.simulate_mec is simulate.simulate_mec
+            assert cli.run_validation is validation.run_validation
+            print("ok")""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    def test_unknown_names_still_raise(self):
+        with pytest.raises(AttributeError):
+            aoi_mec.no_such_name
+        with pytest.raises(AttributeError):
+            cli.no_such_name
+
+    def test_readme_quickstart_import(self):
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(path, encoding="utf-8") as fh:
+            readme = fh.read()
+        start = readme.index("from aoi_mec import (")
+        line = readme[start:readme.index(")", start) + 1]
+        proc = run_python("-c", f"{line}\nprint(simulate_mec.__module__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "aoi_mec.simulate"
+
+
 # ---------------------------------------------------------------------------
 # validate subcommand.
 # ---------------------------------------------------------------------------

@@ -132,20 +132,25 @@ class TestSearchP:
 
     def test_unstable_interval_ends_are_skipped_not_counted(self):
         # both interval ends come from active constraints, so neither is
-        # stable; at resolution 0.05 only the midpoint 0.45 survives
+        # stable; at resolution 0.05 only the midpoint 0.45 survives on the
+        # grid, and the bounded refinement then searches the open interval
         cfg = homog(4, 0.5, 1.0, 3.0, 0.3)
         assert stable_p_interval(cfg) == pytest.approx((0.4, 0.5))
         fine = search_p(cfg, "paoi")
         assert (fine.evaluations, fine.best_p) == (120, 0.46866088649567816)
         coarse = search_p(cfg, "paoi", resolution=0.05)
-        assert (coarse.evaluations, coarse.best_p) == (1, 0.45)
-        assert coarse.method == "grid"  # one stable point: nothing to refine
+        assert coarse.best_p == pytest.approx(fine.best_p, abs=1e-5)
+        assert (coarse.evaluations, coarse.best_p) == (11, 0.4686608900494128)
+        assert coarse.method == "golden"
 
     @pytest.mark.parametrize("cfg", [
         # both interval ends unstable: the grid was only the two ends
         homog(3, 0.457214, 1.020854, 2.171, 0.120377),
         # p_min counts as stable by rounding alone, at a value of ~1.8e16
         homog(3, 0.4572, 1.0209, 2.171, 0.1204),
+        # [0.48, 0.49], both ends unstable: the lone stable grid point, the
+        # midpoint, is refined (unrefined, its PAoI is 12 % too high)
+        homog(4, 0.5, 0.98, 3.0, 0.26),
     ])
     @pytest.mark.parametrize("objective", ["aoi", "paoi"])
     def test_interval_narrower_than_resolution(self, cfg, objective):

@@ -26,6 +26,7 @@ from aoi_mec.simulate import (
     _estimate_ue,
     _found,
     _run_replication,
+    _t_quantile,
     simulate_mec,
 )
 
@@ -175,6 +176,28 @@ class TestSimParams:
         with pytest.raises(InvalidParams, match="retained"):
             simulate_mec(cfg, SimParams(seed=1, packets_per_ue=2,
                                         warmup_packets_per_ue=1))
+
+
+class TestTQuantile:
+    # the 95 % CI half-width multiplier of _aggregate, against scipy
+    def test_matches_scipy_for_df_1_to_1000(self):
+        stats = pytest.importorskip("scipy.stats")
+        df = np.arange(1, 1001)
+        ref = stats.t.ppf(0.975, df)
+        got = np.array([_t_quantile(0.975, int(d)) for d in df])
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("p", [0.5, 0.6, 0.9, 0.995])
+    def test_other_levels(self, p):
+        stats = pytest.importorskip("scipy.stats")
+        for df in range(1, 60):
+            assert _t_quantile(p, df) == pytest.approx(stats.t.ppf(p, df),
+                                                       rel=1e-13, abs=1e-15)
+
+    def test_closed_forms_are_exact(self):
+        stats = pytest.importorskip("scipy.stats")
+        for df in (1, 2):
+            assert _t_quantile(0.975, df) == float(stats.t.ppf(0.975, df))
 
 
 class TestDeterminism:
