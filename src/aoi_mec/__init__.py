@@ -10,7 +10,7 @@ Library layout:
     cli        - command-line front end (analytic / sweep / validate / optimize)
 
 `import aoi_mec` loads model and analytic only, which need nothing beyond
-the standard library. The names that need numpy or scipy are served on
+the standard library. The names that need numpy are served on
 first access (PEP 562): Estimate, SimResult and simulate_mec from
 simulate; OptResult, SchemeComparison, stable_p_interval, search_p and
 compare_schemes from optimize; run_validation from validation. So are

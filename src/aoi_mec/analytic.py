@@ -129,7 +129,7 @@ class POptResult:
 # ---------------------------------------------------------------------------
 
 
-def _e_yw_first_stage(ln, lo, a):
+def _e_yw_first_stage(ln, lo, a, sqrt=math.sqrt):
     """Exact E[Y_j W_j] at a multi-source FCFS M/M/1 first stage.
 
     Packet j-1 of the tagged UE leaves a workload T ~ Exp(g), g = a - lam
@@ -145,11 +145,12 @@ def _e_yw_first_stage(ln, lo, a):
     through the quadratic, and eta taken from its cancellation-free root
     (at s = ln the linear coefficient a - lo - ln is g > 0), so it keeps
     full relative precision as ln / lam -> 0. Every term is positive. At
-    lo = 0 it reduces to the textbook M/M/1 value ln / (a^2 g).
+    lo = 0 it reduces to the textbook M/M/1 value ln / (a^2 g). The rates
+    may be numpy arrays when sqrt is numpy's.
     """
     g = a - lo - ln
     b = a - lo
-    eta = 2.0 * ln * a / (g + math.sqrt(g * g + 4.0 * ln * a))
+    eta = 2.0 * ln * a / (g + sqrt(g * g + 4.0 * ln * a))
     q = eta * eta + 2.0 * a * eta + a * b
     # "others" vanishes at lo = 0, leaving the single-source M/M/1 value
     others = lo * (2.0 * eta * eta + 3.0 * a * eta + a * b) / (a * eta * (eta + b))
@@ -230,42 +231,39 @@ def _phi_lju_raw(ln, lo, lam, a, d, u):
     return t1 + t2 - t3
 
 
-def _near_singular(a: float, d: float, u: float, lo: float) -> bool:
+def _near_singular(a, d, u, lo):
     """True if any of the three removable denominators is relatively tiny.
 
-    The critical differences are a - d, a - (u + lo), d - (u + lo); u may be
-    +inf (edge scheme), in which case none of the u-differences can vanish.
+    The critical differences are a - d, a - (u + lo), d - (u + lo). u may be
+    +inf (edge scheme): the u-differences are then infinite and never
+    flagged. Each test |x - y| < T max(x, y) is written as two comparisons
+    (rounding is monotone, so they agree exactly), which lets the rates be
+    numpy arrays as well as floats.
     """
-    if abs(a - d) < SINGULARITY_TRIGGER * max(a, d):
-        return True
-    if math.isfinite(u):
-        if abs(a - u - lo) < SINGULARITY_TRIGGER * max(a, u + lo):
-            return True
-        if abs(d - u - lo) < SINGULARITY_TRIGGER * max(d, u + lo):
-            return True
-    return False
+    t = SINGULARITY_TRIGGER
+    ulo = u + lo
+    ad, au, du = abs(a - d), abs(a - u - lo), abs(d - u - lo)
+    return ((ad < t * a) | (ad < t * d) | (au < t * a) | (au < t * ulo)
+            | (du < t * d) | (du < t * ulo))
 
 
-def _phi_eval(ln, lo, lam, a, d, u, with_local: bool):
-    """Evaluate the (up to) four phi terms, applying the singularity policy.
+def _phi_raw(ln, lo, lam, a, d, u, with_local):
+    """The four phi terms (bjd, ljd, bju, lju), no singularity policy.
 
     with_local=False evaluates only the transmission-queue pair (edge
     scheme / u = +inf), where the local stage is a pass-through.
     """
+    bjd = _phi_bjd_raw(ln, lo, lam, a, d)
+    ljd = _phi_ljd_raw(ln, lo, lam, a, d)
+    if not with_local:
+        return (bjd, ljd, 0.0, 0.0)
+    return (bjd, ljd, _phi_bju_raw(ln, lo, lam, a, d, u), _phi_lju_raw(ln, lo, lam, a, d, u))
 
-    def raw(a_, d_, u_):
-        bjd = _phi_bjd_raw(ln, lo, lam, a_, d_)
-        ljd = _phi_ljd_raw(ln, lo, lam, a_, d_)
-        if with_local:
-            bju = _phi_bju_raw(ln, lo, lam, a_, d_, u_)
-            lju = _phi_lju_raw(ln, lo, lam, a_, d_, u_)
-        else:
-            bju = 0.0
-            lju = 0.0
-        return (bjd, ljd, bju, lju)
 
+def _phi_eval(ln, lo, lam, a, d, u, with_local: bool):
+    """Evaluate the (up to) four phi terms, applying the singularity policy."""
     if not _near_singular(a, d, u, lo):
-        return PhiTerms(*raw(a, d, u))
+        return PhiTerms(*_phi_raw(ln, lo, lam, a, d, u, with_local))
 
     # Perturb the edge and transmission rates in opposite directions; this
     # strictly moves all three critical differences. If a perturbed point is
@@ -283,8 +281,8 @@ def _phi_eval(ln, lo, lam, a, d, u, with_local: bool):
             f"(a = {a:g}, d = {d:g}, u = {u:g}, others = {lo:g})"
         )
 
-    plus = raw(hi[0], hi[1], u)
-    minus = raw(lo_[0], lo_[1], u)
+    plus = _phi_raw(ln, lo, lam, hi[0], hi[1], u, with_local)
+    minus = _phi_raw(ln, lo, lam, lo_[0], lo_[1], u, with_local)
     names = ("phi_bjd", "phi_ljd", "phi_bju", "phi_lju")
     out = []
     for name, vp, vm in zip(names, plus, minus):
@@ -347,7 +345,16 @@ def _e_yw_stages(rates: DerivedRates, ue_index: int) -> tuple[float, float, floa
         phi = phi_terms_edge(rates, ue_index)
     else:
         phi = phi_terms_partial(rates, ue_index)
-    return (_e_yw_first_stage(ln, lo, a),
+    return _e_yw_queued(ln, lo, a, phi)
+
+
+def _e_yw_queued(ln, lo, a, phi: PhiTerms, sqrt=math.sqrt):
+    """The stage terms of _e_yw_stages when the edge stage is a queue.
+
+    The exact first stage, then the transmission and local split pairs.
+    The rates and phi's fields may be numpy arrays when sqrt is numpy's.
+    """
+    return (_e_yw_first_stage(ln, lo, a, sqrt),
             phi.phi_bjd + phi.phi_ljd,
             phi.phi_bju + phi.phi_lju)
 
@@ -383,6 +390,19 @@ def e_yw_lower_bounds(cfg: SystemConfig, ue_index: int) -> tuple[float, float, f
 # ---------------------------------------------------------------------------
 
 
+# The two per-UE lines below take floats or numpy arrays alike.
+
+
+def _aoi(ln, a, d, u, yw):
+    """AoI_n = 1/lambda_n + sum_k 1/mu_k + lambda_n sum_k E[Y_j W_k].
+
+    yw is the (edge, tx, local) triple of _e_yw_stages; a pass-through
+    adds 0.
+    """
+    yw_edge, yw_tx, yw_local = yw
+    return 1.0 / ln + 1.0 / a + 1.0 / d + 1.0 / u + ln * (yw_edge + yw_tx + yw_local)
+
+
 def _paoi(ln, lam, a, d, u):
     """PAoI_n = 1/lambda_n + sum_k 1/(mu_k - lambda_k); a pass-through adds 0."""
     return 1.0 / ln + 1.0 / (a - lam) + 1.0 / (d - lam) + 1.0 / (u - ln)
@@ -397,9 +417,7 @@ def system_metrics(cfg: SystemConfig) -> AoiMetrics:
     d = rates.tx_rate
     aoi, paoi = [], []
     for n, (ln, u) in enumerate(zip(cfg.gen_rates, rates.eff_local)):
-        yw_edge, yw_tx, yw_local = _e_yw_stages(rates, n)
-        aoi.append(1.0 / ln + 1.0 / a + 1.0 / d + 1.0 / u
-                   + ln * (yw_edge + yw_tx + yw_local))
+        aoi.append(_aoi(ln, a, d, u, _e_yw_stages(rates, n)))
         paoi.append(_paoi(ln, lam, a, d, u))
     return AoiMetrics(
         per_ue_aoi=tuple(aoi),

@@ -57,8 +57,8 @@ EXIT_VALIDATION = 4
 
 
 def __getattr__(name):
-    # The simulator, the optimizer and the validation report load numpy
-    # and scipy, so the commands that need them import them on first use
+    # The simulator, the optimizer and the validation report load numpy,
+    # so the commands that need them import them on first use
     # and the closed-form commands never do. These two names stay
     # attributes of the CLI module, served from their home modules.
     if name == "simulate_mec":

@@ -6,6 +6,13 @@ grid scan of the analytic objective over the stable ratio interval
 followed by local refinement. Peak AoI is convex in p, so refinement is
 always safe; AoI is refined only after the grid scan shows a single
 local minimum, otherwise the grid argmin is returned as-is.
+
+The scan is one numpy evaluation of analytic's closed forms over the
+whole grid; only p = 0, p = 1 and points near a removable singularity go
+through the scalar system_metrics. The refinement is an in-house golden
+section search (Kiefer, "Sequential minimax search for a maximum",
+1953) of the grid cells on both sides of the grid winner, with scalar
+system_metrics calls.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as sp_opt
 
 from .model import (
     EmptyStableInterval,
@@ -29,6 +35,12 @@ from . import analytic
 
 REFINE_TOL = 1e-6
 
+# golden-section constants: the section ratio 2/(1 + sqrt(5)) to scipy's
+# eight digits, and its complement
+_GR = 0.61803399
+_GC = 1.0 - _GR
+_GOLDEN_MAXITER = 5000
+
 _OBJECTIVES = ("aoi", "paoi")
 
 
@@ -36,9 +48,11 @@ _OBJECTIVES = ("aoi", "paoi")
 class OptResult:
     """Outcome of an offloading-ratio optimization.
 
-    method is "golden" (grid scan plus local refinement) or "grid" (scan
-    only, used when the AoI objective does not look unimodal on the
-    grid). evaluations counts objective evaluations at stable ratios.
+    method is "golden" (grid scan plus golden-section refinement) or
+    "grid" (scan only, used when the AoI objective does not look unimodal
+    on the grid). evaluations counts each stable grid point once, plus
+    each objective evaluation of the refinement; unstable grid points are
+    skipped and not counted.
     """
 
     best_p: float
@@ -103,6 +117,74 @@ def _single_local_minimum(values: np.ndarray) -> bool:
     return True  # monotone: the minimum sits at an endpoint
 
 
+def _grid_values(cfg: SystemConfig, p: np.ndarray,
+                 objective: str) -> tuple[np.ndarray, np.ndarray]:
+    """Objective values on the ratio grid p, and the stability mask.
+
+    Stable interior points that are not near a removable singularity take
+    one array evaluation of the closed forms (one UE: the UEs are
+    identical). The rest of the stable points, p = 0, p = 1 and the
+    flagged ones, go through the scalar system_metrics, which applies the
+    singularity policy. The mask uses check_stability's expressions;
+    unstable points get nan.
+    """
+    ln = cfg.gen_rates[0]
+    lam = math.fsum(cfg.gen_rates)
+    lo = lam - ln
+    d = cfg.tx_rate
+    with np.errstate(divide="ignore"):  # the +inf rates of p = 0 and p = 1
+        a = cfg.edge_rate / p
+        u = cfg.local_rates[0] / (1.0 - p)
+    stable = (lam < a) & (lam < d) & (ln < u)
+    fast = stable & (p > 0.0) & (p < 1.0) & ~analytic._near_singular(a, d, u, lo)
+    a, u = a[fast], u[fast]
+    if objective == "paoi":
+        x = analytic._paoi(ln, lam, a, d, u)
+    else:
+        phi = analytic.PhiTerms(*analytic._phi_raw(ln, lo, lam, a, d, u, True))
+        x = analytic._aoi(ln, a, d, u, analytic._e_yw_queued(ln, lo, a, phi, np.sqrt))
+    values = np.full(len(p), np.nan)
+    # the N equal UEs: N * x rounds the exact sum once, as math.fsum does
+    values[fast] = (cfg.num_ues * x) / cfg.num_ues
+    for i in np.flatnonzero(stable & ~fast):
+        values[i] = _objective(cfg, objective, float(p[i]))
+    return values, stable
+
+
+def _objective(cfg: SystemConfig, objective: str, p: float) -> float:
+    metrics = analytic.system_metrics(cfg.with_scheme(Scheme.partial(p)))
+    return metrics.system_aoi if objective == "aoi" else metrics.system_paoi
+
+
+def _golden(f, xa: float, xb: float, xc: float, tol: float,
+            relative: bool) -> tuple[float, float]:
+    """Golden-section minimization of f inside the bracket xa < xb < xc.
+
+    Returns (x, f(x)). The iteration is Kiefer's, with the constants and
+    update of scipy.optimize.golden; f is never evaluated at xa, xb or xc.
+    The search stops when the bracket is at most tol wide, or, with
+    relative=True, tol times the magnitude of the two inner points.
+    """
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GC * (xc - xb)
+    else:
+        x1, x2 = xb - _GC * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(_GOLDEN_MAXITER):
+        if abs(x3 - x0) <= (tol * (abs(x1) + abs(x2)) if relative else tol):
+            break
+        if f2 < f1:
+            x0, x1 = x1, x2
+            x2 = _GR * x1 + _GC * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = _GR * x2 + _GC * x0
+            f2, f1 = f1, f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def search_p(cfg: SystemConfig, objective: str = "paoi",
              resolution: float = 1e-3) -> OptResult:
     """Minimize the analytic system AoI or peak AoI over the ratio p.
@@ -121,57 +203,43 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
             "no offloading ratio stabilizes this system (check lam < mu_d "
             "and the edge/local service rates)")
 
-    evals = 0
-
-    def counted(p: float) -> float:
-        nonlocal evals
-        metrics = analytic.system_metrics(cfg.with_scheme(Scheme.partial(float(p))))
-        evals += 1
-        return metrics.system_aoi if objective == "aoi" else metrics.system_paoi
-
     # Interval ends from an active constraint are unstable: skipped, not
     # counted. At least two steps keep the midpoint, a stable point, on
     # the grid when the interval is narrower than the resolution.
     p_min, p_max = interval
     steps = max(2, int(math.ceil((p_max - p_min) / resolution)))
-    grid, values = [], []
-    for p in np.linspace(p_min, p_max, steps + 1):
-        try:
-            values.append(counted(p))
-        except UnstableConfig:
-            continue
-        grid.append(p)
-    grid, values = np.asarray(grid), np.asarray(values)
-    best = int(np.argmin(values))
-    best_p, best_value = float(grid[best]), float(values[best])
+    p = np.linspace(p_min, p_max, steps + 1)
+    values, stable = _grid_values(cfg, p, objective)
+    evals = int(np.count_nonzero(stable))
+    best = int(np.nanargmin(values))  # the first minimum: ties go to smaller p
+    best_p, best_value = float(p[best]), float(values[best])
 
-    refine = objective == "paoi" or _single_local_minimum(values)
+    refine = objective == "paoi" or _single_local_minimum(values[stable])
     method = "golden" if refine else "grid"
     if refine:
-        if len(grid) == 1:
-            # a lone stable point: both interval ends are unstable, and
-            # the bounded method below never evaluates its bounds
-            lo, hi = p_min, p_max
-        else:
-            lo = grid[best - 1] if best > 0 else grid[best]
-            hi = grid[best + 1] if best + 1 < len(grid) else grid[best]
-        strict = (0 < best < len(grid) - 1
+        def counted(x: float) -> float:
+            nonlocal evals
+            evals += 1
+            return _objective(cfg, objective, x)
+
+        # The neighbours come from the full grid, so a cell next to an
+        # unstable interval end is searched too; no bracket end is
+        # evaluated. An unstable neighbour's nan is never strictly higher.
+        lo = float(p[max(best - 1, 0)])
+        hi = float(p[min(best + 1, len(p) - 1)])
+        strict = (0 < best < len(p) - 1
                   and values[best] < values[best - 1]
                   and values[best] < values[best + 1])
         if strict:
-            res = sp_opt.minimize_scalar(
-                counted, bracket=(lo, grid[best], hi), method="golden",
-                options={"xtol": REFINE_TOL})
+            x, fx = _golden(counted, lo, best_p, hi, REFINE_TOL, relative=True)
         else:
-            # interval ends (or an fp-flat neighborhood) give no strict
-            # interior bracket; bounded refinement of the cell instead
-            res = sp_opt.minimize_scalar(
-                counted, bounds=(lo, hi), method="bounded",
-                options={"xatol": REFINE_TOL})
+            # an interval end, an fp-flat neighbourhood or a lone stable
+            # point: search the whole cell from its midpoint
+            x, fx = _golden(counted, lo, 0.5 * (lo + hi), hi, REFINE_TOL, relative=False)
         # keep the grid winner on the rare fp-level disagreement, so a
         # finer resolution can never return a worse value
-        if res.fun < best_value:
-            best_p, best_value = float(res.x), float(res.fun)
+        if fx < best_value:
+            best_p, best_value = x, fx
 
     return OptResult(
         best_p=best_p,

@@ -410,8 +410,8 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "False"
 
 
-# The closed forms need only the standard library; numpy and scipy load
-# with the simulator and the optimizer, on first use.
+# The closed forms need only the standard library; numpy loads with the
+# simulator and the optimizer, on first use. scipy is for the tests only.
 HEAVY = "sorted(m for m in ('numpy', 'scipy') if m in sys.modules)"
 
 
@@ -428,6 +428,24 @@ class TestLazyImports:
                                 f"print(code, {HEAVY})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_optimize_command_loads_numpy_only(self, tmp_path):
+        path = write(tmp_path, "r.cfg", LOW_UTIL_CFG)
+        proc = run_python("-c", "import sys; from aoi_mec import cli; "
+                                f"code = cli.main(['optimize', '--config', {path!r}]); "
+                                f"print(code, {HEAVY})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 ['numpy']"
+
+    def test_library_source_never_imports_scipy(self):
+        package = os.path.dirname(aoi_mec.__file__)
+        offenders = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    offenders += [f"{name}:{i}" for i, line in enumerate(fh, 1)
+                                  if line.lstrip().startswith(("import scipy", "from scipy"))]
+        assert offenders == []
 
     def test_every_exported_name_resolves(self):
         proc = run_python("-c", """if True:

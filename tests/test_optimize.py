@@ -2,6 +2,7 @@
 agreement, and scheme comparison labeling."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from aoi_mec.model import (
     EmptyStableInterval,
     NotHomogeneous,
     Scheme,
+    SingularityUnresolved,
     SystemConfig,
     check_stability,
     normalize_scheme,
@@ -18,6 +20,7 @@ from aoi_mec.model import (
 from aoi_mec import analytic as an
 from aoi_mec.optimize import (
     OptResult,
+    _grid_values,
     compare_schemes,
     search_p,
     stable_p_interval,
@@ -137,11 +140,22 @@ class TestSearchP:
         cfg = homog(4, 0.5, 1.0, 3.0, 0.3)
         assert stable_p_interval(cfg) == pytest.approx((0.4, 0.5))
         fine = search_p(cfg, "paoi")
-        assert (fine.evaluations, fine.best_p) == (120, 0.46866088649567816)
+        assert (fine.evaluations, fine.best_p) == (117, 0.46866088649567816)
         coarse = search_p(cfg, "paoi", resolution=0.05)
         assert coarse.best_p == pytest.approx(fine.best_p, abs=1e-5)
-        assert (coarse.evaluations, coarse.best_p) == (11, 0.4686608900494128)
+        assert (coarse.evaluations, coarse.best_p) == (28, 0.4686607589062479)
         assert coarse.method == "golden"
+
+    @pytest.mark.parametrize("resolution", [0.05, 0.01])
+    @pytest.mark.parametrize("objective", ["aoi", "paoi"])
+    def test_refines_toward_an_unstable_end(self, objective, resolution):
+        # interval [0.73666, 0.74431]: the optimum sits in the cell next to
+        # the unstable p_max, which the refinement must search
+        cfg = homog(3, 0.4572, 1.0209, 2.171, 0.1204)
+        fine = search_p(cfg, objective, resolution=1e-3)
+        coarse = search_p(cfg, objective, resolution=resolution)
+        assert coarse.best_p == pytest.approx(fine.best_p, abs=1e-5)
+        assert coarse.best_value <= fine.best_value * (1 + 1e-9)
 
     @pytest.mark.parametrize("cfg", [
         # both interval ends unstable: the grid was only the two ends
@@ -162,6 +176,14 @@ class TestSearchP:
         assert lo < coarse.best_p < hi
         assert math.isfinite(coarse.best_value)
         assert coarse.best_value == pytest.approx(fine.best_value, rel=1e-3)
+
+    @pytest.mark.parametrize("objective", ["aoi", "paoi"])
+    def test_grid_points_near_a_singularity_take_the_policy(self, objective, monkeypatch):
+        # p = 0.75 is on the grid and has a - u - lo = 0; with a zero
+        # tolerance the two-sided evaluation there must refuse
+        monkeypatch.setattr(an, "SINGULARITY_TOL", 0.0)
+        with pytest.raises(SingularityUnresolved):
+            search_p(homog(6, 0.2, 1.5, 1.8, 0.25), objective)
 
     def test_deterministic(self):
         cfg = homog(3, 0.2, 1.4, 2.0, 0.6)
@@ -197,6 +219,55 @@ class TestSearchP:
         assume(opt.stable)
         res = search_p(cfg, "paoi")
         assert abs(res.best_p - opt.p) <= 1e-3
+
+
+def _equivalence_configs():
+    draw = random.Random(20261018)
+    cfgs = [homog(6, 0.2, 1.5, 1.8, 0.25),  # README; singular at p = 0.75
+            homog(3, 0.4572, 1.0209, 2.171, 0.1204)]  # p_min stable by rounding
+    while len(cfgs) < 102:
+        n = draw.randint(1, 8)
+        lh = draw.uniform(0.02, 0.5)
+        cfg = homog(n, lh, draw.uniform(0.2, 2.0) * n * lh, draw.uniform(1.05, 3.0) * n * lh,
+                    draw.uniform(0.3, 3.0) * lh)
+        if stable_p_interval(cfg) is not None:
+            cfgs.append(cfg)
+    return cfgs
+
+
+class TestGridValues:
+    """The array grid of search_p against scalar system_metrics."""
+
+    @staticmethod
+    def grids(cfg):
+        # the search's own grid, and a [0, 1] grid crossing the unstable part
+        lo, hi = stable_p_interval(cfg)
+        steps = max(2, int(math.ceil((hi - lo) / 0.01)))
+        return np.linspace(lo, hi, steps + 1), np.linspace(0.0, 1.0, 101)
+
+    def test_stability_mask_is_check_stability(self):
+        for cfg in _equivalence_configs():
+            for p in self.grids(cfg):
+                _, stable = _grid_values(cfg, p, "paoi")
+                want = [check_stability(cfg.with_scheme(Scheme.partial(float(x)))).stable
+                        for x in p]
+                assert stable.tolist() == want, cfg
+
+    def test_values_match_system_metrics(self):
+        points = inexact = 0
+        for cfg in _equivalence_configs():
+            p = self.grids(cfg)[0]
+            aoi, stable = _grid_values(cfg, p, "aoi")
+            paoi, _ = _grid_values(cfg, p, "paoi")
+            assert np.isnan(aoi[~stable]).all() and np.isnan(paoi[~stable]).all()
+            for x, got_aoi, got_paoi in zip(p[stable], aoi[stable], paoi[stable]):
+                m = an.system_metrics(cfg.with_scheme(Scheme.partial(float(x))))
+                for got, want in ((got_aoi, m.system_aoi), (got_paoi, m.system_paoi)):
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (cfg, x)
+                    points += 1
+                    inexact += got != want
+        print(f"grid vs system_metrics: {inexact} of {points} values not bit-equal")
+        assert points > 10_000
 
 
 class TestCompareSchemes:
