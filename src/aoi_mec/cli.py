@@ -57,16 +57,12 @@ EXIT_VALIDATION = 4
 
 
 def __getattr__(name):
-    # The simulator, the optimizer and the validation report load numpy,
-    # so the commands that need them import them on first use
-    # and the closed-form commands never do. These two names stay
-    # attributes of the CLI module, served from their home modules.
+    # The simulator loads numpy, so the CLI imports it on first use and
+    # the closed-form commands never do. simulate_mec stays an attribute
+    # of the CLI module, served from its home module.
     if name == "simulate_mec":
         from . import simulate
         return simulate.simulate_mec
-    if name == "run_validation":
-        from . import validation
-        return validation.run_validation
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -89,9 +85,48 @@ def _rates_cell(values) -> str:
     return ";".join(_fmt(v) for v in values)
 
 
+CONFIG_HEADER = ("n_ues", "lambda", "mu_b", "mu_d", "mu_local")
+
+
+def _config_cells(cfg: SystemConfig):
+    """The CONFIG_HEADER cells of one system."""
+    return (cfg.num_ues, _rates_cell(cfg.gen_rates), cfg.edge_rate, cfg.tx_rate,
+            _rates_cell(cfg.local_rates))
+
+
+def _write_table(path, header, rows):
+    """Comma-separated text: the header, then one line of cells per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for cells in (header, *rows):
+            fh.write(",".join(_fmt(cell) for cell in cells) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Key-value config files.
 # ---------------------------------------------------------------------------
+
+
+def _floats(text):
+    """A scalar or a comma-separated list -> list of floats."""
+    return [float(part) for part in text.split(",")]
+
+
+def _flag(text):
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(text)
+
+
+# What each value parser accepts, in the words of its error message.
+_ACCEPTS = {
+    float: "a number",
+    int: "an integer",
+    _floats: "a number or comma-separated list",
+    _flag: "true or false",
+}
 
 
 class _KeyValues:
@@ -99,7 +134,8 @@ class _KeyValues:
 
     def __init__(self, path):
         self.path = path
-        self.entries = {}  # key -> (raw value, line number)
+        self.entries = {}  # key -> raw value, until taken
+        self.lines = {}  # key -> line number
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
@@ -113,99 +149,66 @@ class _KeyValues:
                 self.error(lineno, f"expected 'key = value', got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip().lower()
-            value = value.strip()
             if not key:
                 self.error(lineno, "empty key")
-            if key in self.entries:
-                first = self.entries[key][1]
-                self.error(lineno, f"duplicate key {key!r} (first set on line {first})")
-            self.entries[key] = (value, lineno)
+            if key in self.lines:
+                self.error(lineno, f"duplicate key {key!r} (first set on line {self.lines[key]})")
+            self.entries[key] = value.strip()
+            self.lines[key] = lineno
 
     def error(self, lineno, message):
         where = self.path if lineno is None else f"{self.path}:{lineno}"
         raise ConfigParseError(f"{where}: {message}")
 
-    def take(self, key, required=False):
-        """Remove and return (value, lineno), or (None, None) if absent."""
+    def take(self, key, parse=str, required=False, default=None):
+        """Remove key and return its value through parse; default if absent."""
         if key not in self.entries:
             if required:
                 self.error(None, f"missing required key {key!r}")
-            return None, None
-        return self.entries.pop(key)
-
-    def take_float(self, key, required=False, default=None):
-        value, lineno = self.take(key, required)
-        if value is None:
             return default
-        try:
-            return float(value)
-        except ValueError:
-            self.error(lineno, f"{key} must be a number, got {value!r}")
+        return self.convert(key, self.entries.pop(key), self.lines[key], parse)
 
-    def take_int(self, key, required=False, default=None):
-        value, lineno = self.take(key, required)
-        if value is None:
-            return default
+    def convert(self, key, text, lineno, parse):
+        """parse(text), or a `key must be ...` error at lineno."""
         try:
-            return int(value)
+            return parse(text)
         except ValueError:
-            self.error(lineno, f"{key} must be an integer, got {value!r}")
-
-    def take_float_list(self, key, required=False):
-        """Scalar or comma-separated list -> list of floats (None if absent)."""
-        value, lineno = self.take(key, required)
-        if value is None:
-            return None, None
-        parts = [part.strip() for part in value.split(",")]
-        try:
-            return [float(part) for part in parts], lineno
-        except ValueError:
-            self.error(lineno, f"{key} must be a number or comma-separated list, got {value!r}")
-
-    def take_bool(self, key, default=False):
-        value, lineno = self.take(key)
-        if value is None:
-            return default
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        self.error(lineno, f"{key} must be true or false, got {value!r}")
+            self.error(lineno, f"{key} must be {_ACCEPTS[parse]}, got {text!r}")
 
     def finish(self):
         """Reject unknown keys so typos never pass silently."""
         if self.entries:
-            key, (_, lineno) = next(iter(self.entries.items()))
-            self.error(lineno, f"unknown key {key!r}")
+            key = next(iter(self.entries))
+            self.error(self.lines[key], f"unknown key {key!r}")
 
 
-def _parse_scheme_token(token, kv, lineno):
-    """'local' | 'edge' | 'partial:P' -> Scheme."""
-    token = token.strip().lower()
-    if token == "local":
-        return Scheme.local()
-    if token == "edge":
-        return Scheme.edge()
-    if token.startswith("partial:"):
-        text = token.split(":", 1)[1]
-        try:
-            p = float(text)
-        except ValueError:
-            kv.error(lineno, f"bad offloading ratio in scheme {token!r}")
-        try:
-            return Scheme.partial(p)
-        except ValueError as exc:
-            kv.error(lineno, str(exc))
-    kv.error(lineno, f"unknown scheme {token!r} (expected local, edge, or partial:P)")
+def _scheme(kv, kind, ratio, lineno, ratio_line) -> Scheme:
+    """Lower-case local | edge | partial, plus the ratio text p for partial -> Scheme.
+
+    A config file writes the ratio as its own `p` key; a sweep's schemes
+    list writes it as `partial:P`, on the line of the list.
+    """
+    if kind not in ("local", "edge", "partial"):
+        kv.error(lineno, f"unknown scheme {kind!r} (expected local, edge, or partial)")
+    if kind != "partial":
+        if ratio is not None:
+            kv.error(ratio_line, f"'p' only applies to scheme = partial (scheme is {kind})")
+        return Scheme.local() if kind == "local" else Scheme.edge()
+    if ratio is None:
+        kv.error(lineno, "scheme = partial requires a 'p' key")
+    p = kv.convert("p", ratio, ratio_line, float)
+    try:
+        return Scheme.partial(p)
+    except ValueError as exc:
+        kv.error(ratio_line, str(exc))
 
 
-def _per_ue(kv, key, values, lineno, n_ues):
+def _per_ue(kv, key, values, n_ues):
     """Broadcast a scalar to n_ues entries; check list lengths."""
     if len(values) == 1:
         return tuple(values) * n_ues
     if len(values) != n_ues:
-        kv.error(lineno, f"{key} has {len(values)} entries for n_ues = {n_ues}")
+        kv.error(kv.lines[key], f"{key} has {len(values)} entries for n_ues = {n_ues}")
     return tuple(values)
 
 
@@ -224,52 +227,28 @@ def _config_from(kv: _KeyValues, swept=None, first=None, scheme=None) -> SystemC
     of the keys it leaves out of the file: lambda for lambda_h, n_ues for
     n_ues, and scheme/p for every axis.
     """
-    n_ues = int(first) if swept == "n_ues" else kv.take_int("n_ues", required=True)
-    lambdas, lam_line = (([first], None) if swept == "lambda_h"
-                         else kv.take_float_list("lambda", required=True))
-    mu_b = kv.take_float("mu_b", required=True)
-    mu_d = kv.take_float("mu_d", required=True)
-    mu_local, mul_line = kv.take_float_list("mu_local", required=True)
+    n_ues = int(first) if swept == "n_ues" else kv.take("n_ues", int, required=True)
+    lambdas = [first] if swept == "lambda_h" else kv.take("lambda", _floats, required=True)
+    mu_b = kv.take("mu_b", float, required=True)
+    mu_d = kv.take("mu_d", float, required=True)
+    mu_local = kv.take("mu_local", _floats, required=True)
     if scheme is None:
-        scheme = _scheme_from(kv)
+        kind = kv.take("scheme", str.lower, required=True)
+        scheme = _scheme(kv, kind, kv.take("p"), kv.lines["scheme"], kv.lines.get("p"))
     if swept in ("lambda_h", "n_ues"):
         # These axes rescale homogeneous systems, so scalars only.
-        for key, values, lineno in (("mu_local", mu_local, mul_line),
-                                    ("lambda", lambdas, lam_line)):
+        for key, values in (("mu_local", mu_local), ("lambda", lambdas)):
             if len(values) != 1:
-                kv.error(lineno, f"sweeping {swept} needs a scalar {key} (homogeneous UEs)")
+                kv.error(kv.lines[key], f"sweeping {swept} needs a scalar {key} (homogeneous UEs)")
 
     if n_ues < 1:
         kv.error(None, f"n_ues must be >= 1, got {n_ues}")
-    gen = _per_ue(kv, "lambda", lambdas, lam_line, n_ues)
-    loc = _per_ue(kv, "mu_local", mu_local, mul_line, n_ues)
+    gen = _per_ue(kv, "lambda", lambdas, n_ues)
+    loc = _per_ue(kv, "mu_local", mu_local, n_ues)
     try:
         return SystemConfig(n_ues, gen, mu_b, mu_d, loc, scheme)
     except ValueError as exc:
         kv.error(None, str(exc))
-
-
-def _scheme_from(kv: _KeyValues) -> Scheme:
-    """The scheme key, plus p for the partial scheme."""
-    scheme_text, scheme_line = kv.take("scheme", required=True)
-    p_text, p_line = kv.take("p")
-    scheme_text = scheme_text.lower()
-    if scheme_text == "partial":
-        if p_text is None:
-            kv.error(scheme_line, "scheme = partial requires a 'p' key")
-        try:
-            p = float(p_text)
-        except ValueError:
-            kv.error(p_line, f"p must be a number, got {p_text!r}")
-        try:
-            return Scheme.partial(p)
-        except ValueError as exc:
-            kv.error(p_line, str(exc))
-    if scheme_text in ("local", "edge"):
-        if p_text is not None:
-            kv.error(p_line, f"'p' only applies to scheme = partial (scheme is {scheme_text})")
-        return Scheme.local() if scheme_text == "local" else Scheme.edge()
-    kv.error(scheme_line, f"unknown scheme {scheme_text!r} (expected local, edge, or partial)")
 
 
 # ---------------------------------------------------------------------------
@@ -301,33 +280,38 @@ def load_sweep_spec(path, *, seed=None, packets=None, warmup=None, reps=None,
     """Read a sweep file; CLI keyword overrides beat file keys."""
     kv = _KeyValues(path)
 
-    swept, swept_line = kv.take("sweep", required=True)
-    swept = swept.lower()
+    swept = kv.take("sweep", str.lower, required=True)
     if swept == "n":
         swept = "n_ues"
     if swept not in SWEPT_PARAMETERS:
-        kv.error(swept_line, f"sweep must be one of {', '.join(SWEPT_PARAMETERS)}, got {swept!r}")
+        kv.error(kv.lines["sweep"],
+                 f"sweep must be one of {', '.join(SWEPT_PARAMETERS)}, got {swept!r}")
 
-    values, values_line = kv.take_float_list("values", required=True)
-    if not values:
-        kv.error(values_line, "values must be a nonempty list")
+    values = kv.take("values", _floats, required=True)
+    values_line = kv.lines["values"]
     for prev, cur in zip(values, values[1:]):
         if not cur > prev:
             kv.error(values_line, f"values must be strictly increasing ({prev:g} then {cur:g})")
 
-    schemes_text, schemes_line = kv.take("schemes")
+    schemes_text = kv.take("schemes", required=swept != "p")
+    schemes_line = kv.lines.get("schemes")
     if swept == "p":
         if schemes_text is not None and schemes_text.strip().lower() != "partial":
             kv.error(schemes_line, "a p sweep varies the partial scheme; drop the schemes key")
         for v in values:
             if not 0.0 <= v <= 1.0:
                 kv.error(values_line, f"offloading ratios must lie in [0, 1], got {v:g}")
-        schemes = (Scheme.partial(values[0]),)
+        schemes = [Scheme.partial(values[0])]
     else:
-        if schemes_text is None:
-            kv.error(None, "missing required key 'schemes'")
-        schemes = tuple(_parse_scheme_token(tok, kv, schemes_line)
-                        for tok in schemes_text.split(","))
+        schemes = []
+        for token in schemes_text.split(","):
+            token = token.strip().lower()
+            kind, colon, ratio = token.partition(":")
+            if bool(colon) != (kind == "partial"):
+                kv.error(schemes_line,
+                         f"unknown scheme {token!r} (expected local, edge, or partial:P)")
+            schemes.append(_scheme(kv, kind, ratio if colon else None,
+                                   schemes_line, schemes_line))
 
     if swept == "n_ues":
         for v in values:
@@ -338,11 +322,11 @@ def load_sweep_spec(path, *, seed=None, packets=None, warmup=None, reps=None,
             if not v > 0.0:
                 kv.error(values_line, f"lambda_h values must be positive, got {v:g}")
 
-    simulate = kv.take_bool("simulate", default=False) or force_simulate
+    simulate = kv.take("simulate", _flag, default=False) or force_simulate
     params = _sim_params(dict(seed=seed, packets=packets, warmup=warmup, reps=reps), kv)
     base = _config_from(kv, swept, values[0], schemes[0])
     kv.finish()
-    return SweepSpec(swept, tuple(values), base, schemes, simulate, params)
+    return SweepSpec(swept, tuple(values), base, tuple(schemes), simulate, params)
 
 
 def _sim_params(flags, kv=None) -> SimParams:
@@ -351,7 +335,7 @@ def _sim_params(flags, kv=None) -> SimParams:
     A file key is read and checked even when a flag overrides it.
     """
     def pick(key, default):
-        in_file = kv.take_int(key) if kv is not None else None
+        in_file = kv.take(key, int) if kv is not None else None
         if flags[key] is not None:
             return flags[key]
         return default if in_file is None else in_file
@@ -367,9 +351,15 @@ def _sim_params(flags, kv=None) -> SimParams:
 # ---------------------------------------------------------------------------
 
 RESULT_HEADER = (
-    "sweep", "value", "scheme", "p", "n_ues", "lambda", "mu_b", "mu_d",
-    "mu_local", "aoi", "paoi", "aoi_low", "aoi_up", "gap_ratio",
-    "sim_aoi", "sim_aoi_ci", "sim_paoi", "sim_paoi_ci", "status",
+    "sweep", "value", "scheme", "p", *CONFIG_HEADER, "aoi", "paoi", "aoi_low",
+    "aoi_up", "gap_ratio", "sim_aoi", "sim_aoi_ci", "sim_paoi", "sim_paoi_ci", "status",
+)
+
+VALIDATION_HEADER = ("term", "analytic", "simulated", "se", "z", "verdict")
+
+OPTIMIZE_HEADER = (
+    *CONFIG_HEADER, "p_closed", "branch", "p_paoi", "paoi_min", "p_aoi", "aoi_min",
+    "aoi_gap_ratio", "objective", "p_selected",
 )
 
 
@@ -392,15 +382,12 @@ class ResultRow:
     status: str = "ok"
 
     def cells(self):
-        cfg = self.cfg
+        """The RESULT_HEADER cells."""
         return (
-            self.sweep, _fmt(self.value), cfg.scheme.kind, _fmt(cfg.scheme.p),
-            str(cfg.num_ues), _rates_cell(cfg.gen_rates), _fmt(cfg.edge_rate),
-            _fmt(cfg.tx_rate), _rates_cell(cfg.local_rates),
-            _fmt(self.aoi), _fmt(self.paoi), _fmt(self.aoi_low),
-            _fmt(self.aoi_up), _fmt(self.gap_ratio),
-            _fmt(self.sim_aoi), _fmt(self.sim_aoi_ci),
-            _fmt(self.sim_paoi), _fmt(self.sim_paoi_ci), self.status,
+            self.sweep, self.value, self.cfg.scheme.kind, self.cfg.scheme.p,
+            *_config_cells(self.cfg), self.aoi, self.paoi, self.aoi_low, self.aoi_up,
+            self.gap_ratio, self.sim_aoi, self.sim_aoi_ci, self.sim_paoi, self.sim_paoi_ci,
+            self.status,
         )
 
 
@@ -486,13 +473,6 @@ def run_sweep(spec: SweepSpec):
         return list(pool.map(lambda task: _evaluate_sweep_row(spec, *task), tasks))
 
 
-def _write_rows(path, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RESULT_HEADER) + "\n")
-        for row in rows:
-            fh.write(",".join(row.cells()) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -500,11 +480,10 @@ def _write_rows(path, rows):
 
 def _describe_config(cfg: SystemConfig) -> str:
     scheme = cfg.scheme.kind
-    if cfg.scheme.kind == "partial":
+    if scheme == "partial":
         scheme += " p=%s" % _fmt(cfg.scheme.p)
-    return ("N=%d  lambda=%s  mu_B=%s  mu_D=%s  mu_local=%s  scheme=%s"
-            % (cfg.num_ues, _rates_cell(cfg.gen_rates), _fmt(cfg.edge_rate),
-               _fmt(cfg.tx_rate), _rates_cell(cfg.local_rates), scheme))
+    return ("N=%s  lambda=%s  mu_B=%s  mu_D=%s  mu_local=%s  scheme=%s"
+            % (*map(_fmt, _config_cells(cfg)), scheme))
 
 
 def cmd_analytic(args) -> int:
@@ -529,7 +508,7 @@ def cmd_analytic(args) -> int:
         print("aoi bounds:  n/a (heterogeneous UEs)")
 
     if args.out:
-        _write_rows(args.out, [row])
+        _write_table(args.out, RESULT_HEADER, [row.cells()])
     return EXIT_OK
 
 
@@ -538,7 +517,7 @@ def cmd_sweep(args) -> int:
                            warmup=args.warmup, reps=args.reps,
                            force_simulate=args.simulate)
     rows = run_sweep(spec)
-    _write_rows(args.out, rows)
+    _write_table(args.out, RESULT_HEADER, [row.cells() for row in rows])
     flagged = sum(1 for row in rows if row.status != "ok")
     print("sweep: %d rows (%d flagged) -> %s" % (len(rows), flagged, args.out))
     return EXIT_OK
@@ -554,24 +533,20 @@ def cmd_validate(args) -> int:
 
     report = validation.run_validation(cfg, params)
 
-    print("%-14s %14s %14s %12s %8s  %s"
-          % ("term", "analytic", "simulated", "se", "z", "verdict"))
+    print("%-14s %14s %14s %12s %8s  %s" % VALIDATION_HEADER)
     for row in report.rows:
         print("%-14s %14s %14s %12s %8.2f  %s"
               % (row.name, _fmt(row.analytic), _fmt(row.estimate), _fmt(row.se),
                  row.z, "pass" if row.ok else "FAIL"))
     n_ok = sum(1 for row in report.rows if row.ok)
     verdict = "PASS" if report.passed else "FAIL"
-    print("result: %s (%d/%d terms within 3 standard errors)"
-          % (verdict, n_ok, len(report.rows)))
+    print("result: %s (%d/%d terms within %g standard errors)"
+          % (verdict, n_ok, len(report.rows), validation.MAX_ABS_Z))
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("term,analytic,simulated,se,z,verdict\n")
-            for row in report.rows:
-                fh.write(",".join((row.name, _fmt(row.analytic), _fmt(row.estimate),
-                                   _fmt(row.se), _fmt(row.z),
-                                   "pass" if row.ok else "fail")) + "\n")
+        _write_table(args.out, VALIDATION_HEADER,
+                     [(row.name, row.analytic, row.estimate, row.se, row.z,
+                       "pass" if row.ok else "fail") for row in report.rows])
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -607,17 +582,11 @@ def cmd_optimize(args) -> int:
     print("aoi penalty of the paoi-optimal ratio: %s" % _fmt(gap))
 
     if args.out:
-        selected = results[args.objective]
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("n_ues,lambda,mu_b,mu_d,mu_local,p_closed,branch,"
-                     "p_paoi,paoi_min,p_aoi,aoi_min,aoi_gap_ratio,objective,p_selected\n")
-            fh.write(",".join((
-                str(cfg.num_ues), _rates_cell(cfg.gen_rates), _fmt(cfg.edge_rate),
-                _fmt(cfg.tx_rate), _rates_cell(cfg.local_rates),
-                _fmt(closed.p), closed.branch,
-                _fmt(results["paoi"].best_p), _fmt(results["paoi"].best_value),
-                _fmt(results["aoi"].best_p), _fmt(results["aoi"].best_value),
-                _fmt(gap), args.objective, _fmt(selected.best_p))) + "\n")
+        _write_table(args.out, OPTIMIZE_HEADER, [(
+            *_config_cells(cfg), closed.p, closed.branch,
+            results["paoi"].best_p, results["paoi"].best_value,
+            results["aoi"].best_p, results["aoi"].best_value,
+            gap, args.objective, results[args.objective].best_p)])
     return EXIT_OK
 
 

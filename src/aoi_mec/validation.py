@@ -2,7 +2,7 @@
 
 The report holds the system AoI and peak AoI and, per UE, the three
 per-stage correlation terms E[Y_j W] (edge, transmission, local), each
-judged against its simulated estimate at 3 standard errors.
+judged against its simulated estimate at MAX_ABS_Z standard errors.
 """
 
 import math
@@ -12,6 +12,9 @@ from dataclasses import dataclass, replace
 from . import analytic
 from .model import InvalidParams, SystemConfig, require_stable
 from .simulate import DivergenceWarning, SimParams, simulate_mec
+
+# A term passes when its estimate lies within this many standard errors.
+MAX_ABS_Z = 3.0
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,11 @@ def _compare(name, expected, est) -> ValidationRow:
         z = 0.0 if exact else math.copysign(math.inf, est.value - expected)
         return ValidationRow(name, expected, est.value, 0.0, z, exact)
     z = (est.value - expected) / est.se
-    return ValidationRow(name, expected, est.value, est.se, z, abs(z) <= 3.0)
+    return ValidationRow(name, expected, est.value, est.se, z, abs(z) <= MAX_ABS_Z)
 
 
 def run_validation(cfg: SystemConfig, params: SimParams) -> ValidationReport:
-    """Simulate cfg and compare every closed-form quantity at 3 standard errors."""
+    """Simulate cfg and compare every closed-form quantity at MAX_ABS_Z standard errors."""
     require_stable(cfg)
     if params.replications < 2:
         raise InvalidParams("validation needs at least 2 replications for standard errors")

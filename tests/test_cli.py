@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import aoi_mec
-from aoi_mec import analytic, cli
+from aoi_mec import analytic, cli, validation
 from aoi_mec.model import ConfigParseError, Scheme, SystemConfig
 from aoi_mec.simulate import SimParams
 
@@ -193,6 +193,19 @@ class TestSweepSpecParsing:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert f"sweeping {swept} needs a scalar {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token, message", [
+        ("partial:x", "p must be a number, got 'x'"),
+        ("cloud", "unknown scheme 'cloud'"),
+        ("partial:1.5", "offloading ratio must be in [0, 1], got 1.5"),
+        ("partial", "unknown scheme 'partial' (expected local, edge, or partial:P)"),
+    ])
+    def test_bad_scheme_token_has_line(self, tmp_path, capsys, token, message):
+        text = f"sweep = lambda_h\nvalues = 0.1\nschemes = local, {token}\n" + self.BASE
+        path = write(tmp_path, "s.cfg", text)
+        code = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"config error: {path}:3: {message}" in capsys.readouterr().err
 
     def test_file_key_checked_under_a_flag(self, tmp_path, capsys):
         text = ("sweep = lambda_h\nvalues = 0.1\nschemes = local\nseed = abc\n"
@@ -459,7 +472,6 @@ class TestLazyImports:
             assert aoi_mec.search_p is optimize.search_p
             assert aoi_mec.run_validation is validation.run_validation
             assert cli.simulate_mec is simulate.simulate_mec
-            assert cli.run_validation is validation.run_validation
             print("ok")""")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
@@ -560,7 +572,7 @@ class TestRunValidation:
             return edge, tx + 0.7 if n == 1 else tx, local
 
         monkeypatch.setattr("aoi_mec.analytic.e_yw", corrupted)
-        report = cli.run_validation(self.cfg(), self.params())
+        report = validation.run_validation(self.cfg(), self.params())
         assert not report.passed
         bad = next(r for r in report.rows if r.name == "yw_tx[1]")
         assert not bad.ok and abs(bad.z) > 3
@@ -570,7 +582,7 @@ class TestRunValidation:
 
     def test_exact_zero_terms_compare_exactly(self):
         cfg = SystemConfig.homogeneous(2, 0.2, 1.5, 1.8, 0.6, Scheme.edge())
-        report = cli.run_validation(cfg, self.params())
+        report = validation.run_validation(cfg, self.params())
         row = next(r for r in report.rows if r.name == "yw_local[0]")
         assert row.analytic == 0.0 and row.estimate == 0.0 and row.ok
         assert row.z == 0.0
@@ -638,16 +650,6 @@ class TestOptimizeCommand:
         assert row["objective"] == "aoi"
         assert row["p_selected"] == row["p_aoi"]
         assert float(row["aoi_gap_ratio"]) <= 0.02
-
-    def test_readme_search_lines(self, tmp_path, capsys):
-        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            documented = [l.rstrip("\n") for l in fh if l.startswith("search (")]
-        cli.main(["optimize", "--config", write(tmp_path, "o.cfg", INTERIOR_CFG)])
-        printed = [l for l in capsys.readouterr().out.splitlines()
-                   if l.startswith("search (")]
-        assert len(documented) == 2
-        assert printed == documented
 
     def test_search_values_match_library(self, tmp_path, capsys):
         from aoi_mec import optimize as opt
