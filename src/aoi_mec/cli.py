@@ -289,6 +289,9 @@ def load_sweep_spec(path, *, seed=None, packets=None, warmup=None, reps=None,
 
     values = kv.take("values", _floats, required=True)
     values_line = kv.lines["values"]
+    for v in values:
+        if not math.isfinite(v):
+            kv.error(values_line, f"values must be finite numbers, got {v:g}")
     for prev, cur in zip(values, values[1:]):
         if not cur > prev:
             kv.error(values_line, f"values must be strictly increasing ({prev:g} then {cur:g})")

@@ -23,9 +23,13 @@ The merge permutation order (a stable argsort of gen: time, then UE, then
 sequence number) gives the order in which the shared edge and
 transmission servers see the packets. Per-UE data is a slice view.
 Each stage's queue is counted once, where _run_replication builds the
-stage: the peak queues come from those counts, and one integer column,
-edge_found (present when the edge stage is real), keeps how many packets
-each generation found at the edge node, for the occupancy histogram.
+stage. The peak queues need only the largest count: since an arrival
+finds at most one packet more than its predecessor, the count at every
+8th arrival bounds each block of 8, and only blocks whose bound exceeds
+the largest of those counts are counted in full (_peak). One integer
+column, edge_found, keeps how many packets each generation found at the
+edge node, for the occupancy histogram; it is present only when the edge
+stage is real and correlations are recorded.
 
 Randomness: one dedicated stream per UE for generation and one per server
 for services, each spawned from the master seed by a fixed key. Stream
@@ -126,20 +130,26 @@ def _lindley(arrivals: np.ndarray, services: np.ndarray):
     preserves order). d_k = max_{i<=k}(t_i + sum services i..k) unrolls to
     cumulative services plus a running maximum.
     """
-    c = np.cumsum(services)
-    boundary = arrivals - (c - services)
-    done = c + np.maximum.accumulate(boundary)
+    # two buffers, filled in place: done starts as the cumulative services
+    # c, and waits first holds the boundary t - (c - s), then its maximum
+    done = np.cumsum(services)
+    total = float(done[-1]) if done.size else 0.0
+    waits = np.subtract(done, services)
+    np.subtract(arrivals, waits, out=waits)
+    np.maximum.accumulate(waits, out=waits)
+    np.add(done, waits, out=done)
     # cancellation in the cumulative sums leaves residue of order
     # eps * horizon on waits that are exactly zero, on either side of 0;
     # snap the window to hard zeros (a true wait falls inside it with
     # probability ~1e-8 and the error is then below the window width)
-    waits = done - services - arrivals
+    np.subtract(done, services, out=waits)
+    np.subtract(waits, arrivals, out=waits)
     if waits.size:
         tol = 64.0 * np.finfo(np.float64).eps * (abs(float(arrivals[-1]))
-                                                 + float(c[-1]))
+                                                 + total)
         snapped = waits <= tol
-        waits[snapped] = 0.0
-        done[snapped] = arrivals[snapped] + services[snapped]
+        np.copyto(waits, 0.0, where=snapped)
+        np.add(arrivals, services, out=done, where=snapped)
         np.maximum.accumulate(done, out=done)
     return done, waits
 
@@ -191,6 +201,49 @@ def _found(arrivals: np.ndarray, departures: np.ndarray) -> np.ndarray:
     return found
 
 
+_PEAK_BLOCK = 8
+
+
+def _peak(arrivals: np.ndarray, departures: np.ndarray) -> int:
+    """The largest number in system at a FCFS stage: max(_found) + 1.
+
+    Arrival k + 1 finds at most one packet more than arrival k: one more
+    packet is ahead of it, and no fewer have left by its instant. So within
+    a block of arrivals the count exceeds the one at the block's first
+    arrival by at most the block length less one. The counts at every block start give
+    a lower bound on the maximum; only blocks whose bound exceeds it are
+    searched in full.
+    """
+    K = len(arrivals)
+    starts = np.arange(0, K, _PEAK_BLOCK)
+    found = starts - np.searchsorted(departures, arrivals[starts], side="right")
+    best = int(found.max())
+    reach = found + np.minimum(_PEAK_BLOCK, K - starts) - 1
+    open_starts = starts[reach > best]
+    if open_starts.size:
+        rows = (open_starts[:, None] + np.arange(1, _PEAK_BLOCK)).ravel()
+        rows = rows[rows < K]
+        best = max(best, int(np.max(
+            rows - np.searchsorted(departures, arrivals[rows], side="right"))))
+    return best + 1
+
+
+def _own_idle(gen: np.ndarray, edge_done: np.ndarray, W: int, M: int):
+    """Which of one UE's generations W..M-1 find none of its own packets
+    at the edge node.
+
+    The UE's packets leave the edge in generation order, so generation j
+    finds none of them exactly when packet j - 1 has left by gen[j] and
+    packet j itself has not (at j = 0 only the latter applies).
+    """
+    idle = gen[W:M] < edge_done[W:M]
+    if W:
+        idle &= edge_done[W - 1:M - 1] <= gen[W:M]
+    else:
+        idle[1:] &= edge_done[:M - 1] <= gen[1:M]
+    return idle
+
+
 def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
     """Simulate one replication; returns (cols, offsets, peaks).
 
@@ -228,10 +281,9 @@ def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
         s_edge = _stream(params.seed, rep, N).standard_exponential(K) / rates.eff_edge
         edge_done, wait_edge = _lindley(arrivals, s_edge)
         del s_edge
-        found = _found(arrivals, edge_done)
-        peaks[0] = int(found.max()) + 1
-        cols["edge_found"] = ue_major(found)
-        del found
+        peaks[0] = _peak(arrivals, edge_done)
+        if params.record_correlations:
+            cols["edge_found"] = ue_major(_found(arrivals, edge_done))
     del arrivals
     cols["wait_edge"] = ue_major(wait_edge)
     del wait_edge
@@ -240,7 +292,7 @@ def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
     s_tx = _stream(params.seed, rep, N + 1).standard_exponential(K) / cfg.tx_rate
     tx_done, wait_tx = _lindley(edge_done, s_tx)
     del s_tx
-    peaks[1] = int(_found(edge_done, tx_done).max()) + 1
+    peaks[1] = _peak(edge_done, tx_done)
     cols["edge_done"] = ue_major(edge_done)
     del edge_done
     cols["tx_done"] = ue_major(tx_done)
@@ -260,8 +312,7 @@ def _run_replication(cfg: SystemConfig, params: SimParams, rep: int):
                  .standard_exponential(ue.stop - ue.start) / u)
         cols["local_done"][ue], cols["wait_local"][ue] = _lindley(
             cols["tx_done"][ue], s_loc)
-        peaks[2 + n] = int(_found(cols["tx_done"][ue],
-                                  cols["local_done"][ue]).max()) + 1
+        peaks[2 + n] = _peak(cols["tx_done"][ue], cols["local_done"][ue])
     return cols, offsets, peaks
 
 
@@ -406,12 +457,11 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
             est = _estimate_ue(ue, M, W, want_corr)
             for k, v in est.items():
                 acc[k][rep, n] = v
-            if want_corr and "edge_found" in ue:
+            if "edge_found" in ue:
                 # the geometric law conditions on finding none of the UE's
                 # own packets at the edge node: all it finds is other UEs'
-                own = np.arange(W, M) - np.searchsorted(
-                    ue["edge_done"], ue["gen"][W:M], side="right")
-                h = np.bincount(ue["edge_found"][W:M][own == 0])
+                h = np.bincount(ue["edge_found"][W:M][
+                    _own_idle(ue["gen"], ue["edge_done"], W, M)])
                 if len(h) > len(hists[n]):
                     h, hists[n] = hists[n], h.astype(np.int64)
                 hists[n][:len(h)] += h

@@ -158,6 +158,20 @@ class TestSweepSpecParsing:
         with pytest.raises(ConfigParseError, match="strictly increasing"):
             cli.load_sweep_spec(write(tmp_path, "s.cfg", text))
 
+    @pytest.mark.parametrize("swept, values, extra", [
+        ("n_ues", "nan", "schemes = edge\nlambda = 0.1\n"),
+        ("n_ues", "2, inf", "schemes = edge\nlambda = 0.1\n"),
+        ("lambda_h", "0.1, inf", "schemes = local\nn_ues = 6\n"),
+        ("p", "nan", "lambda = 0.1\nn_ues = 6\n"),
+    ], ids=["n_ues-nan", "n_ues-inf", "lambda_h-inf", "p-nan"])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, swept, values, extra):
+        text = (f"sweep = {swept}\nvalues = {values}\n{extra}"
+                "mu_b = 1.5\nmu_d = 1.8\nmu_local = 0.25\n")
+        path = write(tmp_path, "s.cfg", text)
+        code = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"config error: {path}:2: values must be finite" in capsys.readouterr().err
+
     def test_p_sweep_owns_the_scheme(self, tmp_path):
         text = ("sweep = p\nvalues = 0.2, 0.4\nschemes = local, edge\n"
                 "lambda = 0.1\n" + self.BASE)

@@ -25,6 +25,7 @@ from aoi_mec.simulate import (
     SimParams,
     _estimate_ue,
     _found,
+    _peak,
     _run_replication,
     _t_quantile,
     simulate_mec,
@@ -244,6 +245,26 @@ class TestDeterminism:
         assert res.correlations.edge_others_hist_own0 == (
             (2861, 290, 26, 2, 0, 1), (2851, 327, 28, 2))
 
+    def test_fixed_seed_output_is_pinned_without_correlations(self):
+        # The same run with correlations off takes the path that builds no
+        # edge occupancy column; its estimates and queue peaks must not move.
+        cfg = SystemConfig.homogeneous(2, 0.2, 1.0, 1.5, 0.8,
+                                       Scheme.partial(0.5))
+        res = simulate_mec(cfg, SimParams(seed=2024, packets_per_ue=2_000,
+                                          replications=2,
+                                          record_correlations=False))
+        assert res.correlations is None
+        assert repr(res.system_aoi) == (
+            "Estimate(value=7.096579135720725, se=0.10788329760574111, "
+            "ci95=1.3707872669922119)")
+        assert repr(res.system_paoi) == (
+            "Estimate(value=7.29007390848982, se=0.05111799636823333, "
+            "ci95=0.6495157275578072)")
+        assert repr(res.diagnostics) == (
+            "Diagnostics(max_edge_queue=6, max_tx_queue=7, "
+            "max_local_queues=(5, 5), sim_time=10339.171744537625, "
+            "diverged=False, near_unstable=False, replications=2)")
+
     def test_boundary_partial_matches_pure_scheme_bitwise(self):
         # The engine reads the scheme only through derive_rates, which sees
         # p alone (Local has p = 0 and Edge p = 1), and the stream layout
@@ -416,11 +437,51 @@ class TestQueueCounts:
                  for ue in ue_ranges(offsets)]
         assert peaks == want
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 300])
+    def test_peak_matches_the_full_count(self, n):
+        # Seeded FCFS paths built one packet at a time, with times rounded
+        # to a coarse grid (ties between arrivals and departures), some
+        # zero services, and loads from light to overloaded.
+        rng = np.random.default_rng(n)
+        for rho in (0.05, 0.3, 0.7, 0.99, 1.3):
+            for _ in range(40):
+                arrivals = np.round(np.cumsum(rng.exponential(1.0, n)), 1)
+                services = np.round(rng.exponential(rho, n), 1)
+                services[rng.random(n) < 0.2] = 0.0
+                departures = np.empty(n)
+                free = 0.0
+                for k in range(n):
+                    free = max(free, arrivals[k]) + services[k]
+                    departures[k] = free
+                want = int(_found(arrivals, departures).max()) + 1
+                assert _peak(arrivals, departures) == want
+
+    def test_peaks_do_not_depend_on_recording_correlations(self):
+        # the edge peak is searched on its own, not read off the edge
+        # occupancy column that only a correlations run builds
+        for scheme in (Scheme.edge(), Scheme.partial(0.5), Scheme.local()):
+            cfg = SystemConfig.homogeneous(3, 0.28, 1.0, 1.2, 0.5, scheme)
+            on, off = (simulate_mec(cfg, SimParams(
+                seed=5, packets_per_ue=3_000, replications=2,
+                record_correlations=corr)) for corr in (True, False))
+            assert on.diagnostics == off.diagnostics
+
     def test_occupancy_histogram_matches_a_brute_force_count(self):
+        self.check_histogram(SimParams(seed=17, packets_per_ue=400,
+                                       replications=1,
+                                       record_correlations=True))
+
+    def test_occupancy_histogram_without_warmup(self):
+        # with no warm-up the first generation of each UE is counted too
+        self.check_histogram(SimParams(seed=17, packets_per_ue=400,
+                                       warmup_packets_per_ue=0,
+                                       replications=1,
+                                       record_correlations=True))
+
+    @staticmethod
+    def check_histogram(params):
         cfg = SystemConfig.homogeneous(3, 0.2, 1.0, 1.5, 0.8,
                                        Scheme.partial(0.6))
-        params = SimParams(seed=17, packets_per_ue=400, replications=1,
-                           record_correlations=True)
         cols, offsets, _ = _run_replication(cfg, params, 0)
         corr = simulate_mec(cfg, params).correlations
         M, W = params.packets_per_ue, params.warmup()
