@@ -18,12 +18,13 @@ Output files are comma-separated text with a header row, 9 significant
 digits, no NaNs (inapplicable cells are empty, bad rows carry a status
 flag).  Exit codes: 0 ok, 2 config error, 3 instability, 4 validation
 failure.  Outputs depend only on the inputs, flags, and seed, so reruns
-are byte-identical.  AOI_MEC_THREADS caps sweep parallelism.
+are byte-identical.  AOI_MEC_THREADS caps the sweep's row threads and,
+for a call made on a single-threaded process, simulate_mec's replication
+processes (up to that many replications are in memory at once).
 """
 
 import argparse
 import math
-import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +44,7 @@ from .model import (
     UnstableConfig,
     check_stability,
     is_homogeneous,
+    max_workers,
     require_stable,
 )
 
@@ -447,27 +449,12 @@ def _evaluate_sweep_row(spec: SweepSpec, index, value, scheme) -> ResultRow:
     return row
 
 
-def _max_workers(n_rows) -> int:
-    raw = os.environ.get("AOI_MEC_THREADS")
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ConfigParseError(
-                f"AOI_MEC_THREADS must be a positive integer, got {raw!r}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_rows))
-
-
 def run_sweep(spec: SweepSpec):
     """Evaluate every (value, scheme) row; rows come back in input order."""
     tasks = [(index, value, scheme)
              for index, (value, scheme) in enumerate(
                  (v, s) for v in spec.values for s in spec.schemes)]
-    workers = _max_workers(len(tasks))
+    workers = max_workers(len(tasks))
     if spec.simulate:
         from . import simulate  # noqa: F401  (import once, not on a row thread)
     if workers == 1:
@@ -543,8 +530,10 @@ def cmd_validate(args) -> int:
                  row.z, "pass" if row.ok else "FAIL"))
     n_ok = sum(1 for row in report.rows if row.ok)
     verdict = "PASS" if report.passed else "FAIL"
-    print("result: %s (%d/%d terms within %g standard errors)"
-          % (verdict, n_ok, len(report.rows), validation.MAX_ABS_Z))
+    print("result: %s (%d/%d terms within %.2f standard errors, the t(%d) "
+          "bound at a %g%% family level)"
+          % (verdict, n_ok, len(report.rows), report.bound, params.replications - 1,
+             100 * validation.FAMILY_LEVEL))
 
     if args.out:
         _write_table(args.out, VALIDATION_HEADER,

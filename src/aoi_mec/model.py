@@ -12,14 +12,16 @@ The boundary values p = 0 (all work local) and p = 1 (all work at the edge)
 turn the corresponding stage into a zero-delay pass-through, represented
 here by an infinite effective rate.
 
-Everything in this module is a pure function over immutable values, and
-it imports only the standard library: the closed-form path (model and
-analytic) never loads numpy or scipy.
+Everything in this module but max_workers, which reads AOI_MEC_THREADS,
+is a pure function over immutable values, and it imports only the
+standard library: the closed-form path (model and analytic) never loads
+numpy or scipy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -307,3 +309,24 @@ class SimParams:
         if self.warmup_packets_per_ue is None:
             return self.packets_per_ue // 10
         return int(self.warmup_packets_per_ue)
+
+
+def max_workers(tasks: int) -> int:
+    """How many workers to use for `tasks` independent tasks.
+
+    AOI_MEC_THREADS caps the count (default os.cpu_count()): it sizes the
+    sweep's row threads and simulate_mec's replication processes. A value
+    that is not a positive integer raises ConfigParseError.
+    """
+    raw = os.environ.get("AOI_MEC_THREADS")
+    if raw is not None:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ConfigParseError(
+                f"AOI_MEC_THREADS must be a positive integer, got {raw!r}")
+    else:
+        cap = os.cpu_count() or 1
+    return max(1, min(cap, tasks))

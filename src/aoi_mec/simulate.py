@@ -36,11 +36,29 @@ for services, each spawned from the master seed by a fixed key. Stream
 consumption per run depends only on the generation randomness, so fixed
 seeds give common random numbers across offloading ratios and schemes
 (Partial(0) and Local produce bit-identical paths).
+
+Parallelism: the replications of one simulate_mec call are independent,
+and each reduces in _replication_summary to a few floats per UE, the
+edge-occupancy histograms and the peak queues; no column leaves it. A
+large call made from a single-threaded process maps that function over
+the replications in a process pool of up to AOI_MEC_THREADS workers
+(default: one per core), each holding one replication's columns at a
+time; smaller calls, and calls from a process that runs other threads
+(the sweep's row threads, a caller's own), map it in a plain loop. The
+pool uses fork, so workers start with numpy loaded and the arguments in
+memory, where spawn would re-import the package in each of them; fork
+is safe only while no other thread holds a lock, hence the
+single-threaded condition. The output cannot depend on the worker
+count: a replication's streams depend only on (seed, rep, stream), and
+the summaries are folded in replication order whichever way they were
+computed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -56,6 +74,7 @@ from .model import (
     SystemConfig,
     check_stability,
     derive_rates,
+    max_workers,
 )
 
 
@@ -355,6 +374,61 @@ def _estimate_ue(ue: dict, M: int, W: int, want_corr: bool):
     return out
 
 
+def _replication_summary(cfg: SystemConfig, params: SimParams, rep: int):
+    """One replication reduced to what simulate_mec pools across them.
+
+    Returns (estimates, hists, peaks, sim_time): the _estimate_ue dict of
+    each UE; each UE's histogram of the others' packets found at the edge
+    node by generations that find none of its own, or None when
+    edge_found is not recorded; the peak queues of _run_replication; and
+    the last delivery time. Small enough to return from a worker process.
+    """
+    M = params.packets_per_ue
+    W = params.warmup()
+    cols, offsets, peaks = _run_replication(cfg, params, rep)
+    estimates = []
+    hists = [] if "edge_found" in cols else None
+    for n in range(cfg.num_ues):
+        ue = {k: v[offsets[n]:offsets[n + 1]] for k, v in cols.items()}
+        estimates.append(_estimate_ue(ue, M, W, params.record_correlations))
+        if hists is not None:
+            # the geometric law conditions on finding none of the UE's
+            # own packets at the edge node: all it finds is other UEs'
+            hists.append(np.bincount(ue["edge_found"][W:M][
+                _own_idle(ue["gen"], ue["edge_done"], W, M)]))
+    return estimates, hists, peaks, float(cols["local_done"].max())
+
+
+# Below this many packets (N * M * R) a call runs its replications in a
+# plain loop: opening and joining the pool costs about 15-35 ms, more in a
+# larger parent, which is more than a second core saves on a short call.
+# On 2 cores (3 UEs, partial p = 0.5, medians of 5) the pool took 24 against
+# 8 ms serially at 24k packets, broke even near 120k-180k (180k: 68 against
+# 59 ms with scipy and pytest loaded), and won from 300k (69-103 against
+# 85-145 ms) to 1.5M (253 against 397 ms).
+PARALLEL_MIN_PACKETS = 250_000
+
+
+def _summaries(cfg: SystemConfig, params: SimParams) -> list:
+    """_replication_summary of every replication, in replication order."""
+    R = params.replications
+    workers = max_workers(R)
+    task = functools.partial(_replication_summary, cfg, params)
+    if (workers > 1
+            and cfg.num_ues * params.packets_per_ue * R >= PARALLEL_MIN_PACKETS
+            and threading.active_count() == 1):
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(task, range(R)))
+    return list(map(task, range(R)))
+
+
 def _t_central_mass(t: float, df: int) -> float:
     """P(|T| < t) for Student's t with integer df >= 1 and t >= 0.
 
@@ -448,25 +522,17 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
     peaks = [0] * (N + 2)
     sim_time = 0.0
 
-    for rep in range(R):
-        cols, offsets, rep_peaks = _run_replication(cfg, params, rep)
+    for rep, (estimates, rep_hists, rep_peaks, rep_time) in enumerate(
+            _summaries(cfg, params)):
         peaks = [max(a, b) for a, b in zip(peaks, rep_peaks)]
-        sim_time = max(sim_time, float(cols["local_done"].max()))
-        for n in range(N):
-            ue = {k: v[offsets[n]:offsets[n + 1]] for k, v in cols.items()}
-            est = _estimate_ue(ue, M, W, want_corr)
+        sim_time = max(sim_time, rep_time)
+        for n, est in enumerate(estimates):
             for k, v in est.items():
                 acc[k][rep, n] = v
-            if "edge_found" in ue:
-                # the geometric law conditions on finding none of the UE's
-                # own packets at the edge node: all it finds is other UEs'
-                h = np.bincount(ue["edge_found"][W:M][
-                    _own_idle(ue["gen"], ue["edge_done"], W, M)])
-                if len(h) > len(hists[n]):
-                    h, hists[n] = hists[n], h.astype(np.int64)
-                hists[n][:len(h)] += h
-        # release this replication's arrays before the next one is built
-        del cols, ue
+        for n, h in enumerate(rep_hists or ()):
+            if len(h) > len(hists[n]):
+                h, hists[n] = hists[n], h.astype(np.int64)
+            hists[n][:len(h)] += h
 
     cap = params.queue_cap
     diverged = max(peaks) > cap

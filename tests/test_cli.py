@@ -537,8 +537,9 @@ class TestValidateCommand:
             return edge, tx + 0.5, local
 
         monkeypatch.setattr("aoi_mec.analytic.e_yw", corrupted)
+        # 10 replications: the bound is 4.85 standard errors, against 13.3 at 4
         code = cli.main(["validate", "--config", write(tmp_path, "v.cfg", LOW_UTIL_CFG),
-                         "--packets", "5000", "--reps", "4", "--seed", "21"])
+                         "--packets", "5000", "--reps", "10", "--seed", "21"])
         out = capsys.readouterr().out
         assert code == 4
         failed = {l.split()[0] for l in out.splitlines() if l.rstrip().endswith("FAIL")}
@@ -586,7 +587,7 @@ class TestRunValidation:
             return edge, tx + 0.7 if n == 1 else tx, local
 
         monkeypatch.setattr("aoi_mec.analytic.e_yw", corrupted)
-        report = validation.run_validation(self.cfg(), self.params())
+        report = validation.run_validation(self.cfg(), self.params(replications=10))
         assert not report.passed
         bad = next(r for r in report.rows if r.name == "yw_tx[1]")
         assert not bad.ok and abs(bad.z) > 3
@@ -600,6 +601,16 @@ class TestRunValidation:
         row = next(r for r in report.rows if r.name == "yw_local[0]")
         assert row.analytic == 0.0 and row.estimate == 0.0 and row.ok
         assert row.z == 0.0
+
+    def test_bound_is_the_sidak_corrected_t_quantile(self):
+        stats = pytest.importorskip("scipy.stats")
+        for reps in (2, 3, 4, 10, 30):
+            for terms in (5, 11, 62):
+                level = 1.0 - (1.0 - validation.FAMILY_LEVEL) ** (1.0 / terms)
+                expected = stats.t.ppf(1.0 - level / 2.0, reps - 1)
+                assert validation.z_bound(reps, terms) == pytest.approx(expected, rel=1e-10)
+        report = validation.run_validation(self.cfg(), self.params())
+        assert report.bound == validation.z_bound(4, 11)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class TestReadmeSamples:
     def test_validate_at_the_default_seed(self, tmp_path, capsys):
         code = cli.main(["validate", "--config", readme_config(tmp_path)])
         assert capsys.readouterr().out == readme_block("### `aoi-mec validate")
-        assert code == 4  # the README shows this run's false alarm
+        assert code == 0  # a 3-SE gate failed this run: yw_edge[1] is at z = 4.44
 
     def test_optimize(self, tmp_path, capsys):
         code = cli.main(["optimize", "--config", write(tmp_path, "o.cfg", OPTIMIZE_CFG)])
@@ -128,7 +128,7 @@ term,analytic,simulated,se,z,verdict
 system_aoi,22.9578487,22.8457969,0.0903680213,-1.23995025,pass
 system_paoi,23.17916,23.0922677,0.147179641,-0.590382859,pass
 yw_edge[0],0.232109918,0.214058413,0.0317854898,-0.567916528,pass
-yw_tx[0],0.667055725,0.786607261,0.0256540101,4.66015003,fail
+yw_tx[0],0.667055725,0.786607261,0.0256540101,4.66015003,pass
 yw_local[0],0.480031283,0.515187932,0.0296987376,1.18377586,pass
 yw_edge[1],0.232109918,0.230220388,0.0193206762,-0.0977982963,pass
 yw_tx[1],0.667055725,0.679392781,0.0634025754,0.194582888,pass
@@ -168,7 +168,7 @@ class TestGoldenFiles:
         code = cli.main(["validate", "--config", readme_config(tmp_path), "--packets", "3000",
                          "--reps", "3", "--seed", "2", "--out", out])
         capsys.readouterr()
-        assert code == 4
+        assert code == 0  # z = 4.66 lies within the t(2) bound, 33.07
         assert read_bytes(out) == VALIDATION_REPORT.encode()
 
     def test_optimize_row(self, tmp_path, capsys):

@@ -6,7 +6,11 @@ runs are sized to finish in seconds, so the statistical checks use wide
 (3 standard error) bands on quantities whose closed forms are exact.
 """
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -19,7 +23,9 @@ from aoi_mec.model import (
     SystemConfig,
 )
 from aoi_mec import analytic as an
+from aoi_mec import simulate
 from aoi_mec.simulate import (
+    PARALLEL_MIN_PACKETS,
     DivergenceWarning,
     Estimate,
     SimParams,
@@ -668,3 +674,68 @@ class TestDivergence:
                                               replications=1))
         assert not res.diagnostics.diverged
         assert not res.diagnostics.near_unstable
+
+
+class ReplicationFailed(Exception):
+    """Raised inside a replication by TestReplicationPool."""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the replication pool needs the fork start method")
+class TestReplicationPool:
+    """A call at the pool threshold, with correlations, on 1 to 3 workers."""
+
+    cfg = SystemConfig.homogeneous(3, 0.3, 1.5, 2.0, 1.0, Scheme.partial(0.5))
+    params = SimParams(seed=31, packets_per_ue=-(-PARALLEL_MIN_PACKETS // 9),
+                       replications=3, record_correlations=True)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of every process pool opened, in order."""
+        opened = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                opened.append(max_workers)
+                super().__init__(max_workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        return opened
+
+    def test_any_worker_count_gives_the_same_result(self, monkeypatch, pools):
+        results = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("AOI_MEC_THREADS", workers)
+            results.append(simulate_mec(self.cfg, self.params))
+            assert multiprocessing.active_children() == []
+        assert pools == [2, 3]
+        assert results[0] == results[1] == results[2]
+
+    def test_a_threaded_caller_runs_serially(self, monkeypatch, pools):
+        monkeypatch.setenv("AOI_MEC_THREADS", "1")
+        serial = simulate_mec(self.cfg, self.params)
+        monkeypatch.setenv("AOI_MEC_THREADS", "2")
+        out = []
+        thread = threading.Thread(
+            target=lambda: out.append(simulate_mec(self.cfg, self.params)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert pools == []
+        assert out == [serial]
+
+    def test_an_error_in_a_worker_keeps_its_type(self, monkeypatch, pools):
+        real = simulate._run_replication
+
+        def failing(cfg, params, rep):
+            if rep == 1:
+                raise ReplicationFailed(os.getpid())
+            return real(cfg, params, rep)
+
+        monkeypatch.setattr(simulate, "_run_replication", failing)
+        monkeypatch.setenv("AOI_MEC_THREADS", "2")
+        with pytest.raises(ReplicationFailed) as info:
+            simulate_mec(self.cfg, self.params)
+        assert info.value.args[0] != os.getpid()
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
