@@ -18,16 +18,15 @@ Output files are comma-separated text with a header row, 9 significant
 digits, no NaNs (inapplicable cells are empty, bad rows carry a status
 flag).  Exit codes: 0 ok, 2 config error, 3 instability, 4 validation
 failure.  Outputs depend only on the inputs, flags, and seed, so reruns
-are byte-identical.  AOI_MEC_THREADS caps the sweep's row threads and,
-for a call made on a single-threaded process, simulate_mec's replication
-processes (up to that many replications are in memory at once).
+are byte-identical.  AOI_MEC_THREADS caps the worker processes of a
+simulation batch (a sweep simulates all its rows in one) made on a
+single-threaded process; up to that many replications are in memory.
 """
 
 import argparse
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -44,7 +43,6 @@ from .model import (
     UnstableConfig,
     check_stability,
     is_homogeneous,
-    max_workers,
     require_stable,
 )
 
@@ -412,55 +410,46 @@ def _fill_analytic(row: ResultRow) -> Optional[analytic.AoiMetrics]:
     return metrics
 
 
-def _fill_simulated(row: ResultRow, params: SimParams):
-    from . import simulate  # loaded by run_sweep before its threads start
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DivergenceWarning)
-        result = simulate.simulate_mec(row.cfg, params)
-    if result.diagnostics.diverged:
-        row.status = "diverged"
-        return
-    row.sim_aoi = result.system_aoi.value
-    row.sim_aoi_ci = result.system_aoi.ci95
-    row.sim_paoi = result.system_paoi.value
-    row.sim_paoi_ci = result.system_paoi.ci95
-    if result.diagnostics.near_unstable:
-        row.status = "near_unstable"
-
-
-def _sweep_row_config(spec: SweepSpec, value, scheme) -> SystemConfig:
+def _evaluate_sweep_row(spec: SweepSpec, value, scheme) -> ResultRow:
+    """The row of one (value, scheme) pair, with its analytic cells filled."""
     base = spec.base
     if spec.swept == "p":
-        return replace(base, scheme=Scheme.partial(value))
-    n = int(value) if spec.swept == "n_ues" else base.num_ues
-    lambda_h = value if spec.swept == "lambda_h" else base.gen_rates[0]
-    return replace(base, num_ues=n, gen_rates=(lambda_h,) * n,
-                   local_rates=base.local_rates[:1] * n, scheme=scheme)
-
-
-def _evaluate_sweep_row(spec: SweepSpec, index, value, scheme) -> ResultRow:
-    row = ResultRow(spec.swept, value, _sweep_row_config(spec, value, scheme))
-    if _fill_analytic(row) is not None and spec.simulate:
-        # Distinct seeds per row; row order fixes them, so parallel
-        # execution cannot change the output.
-        params = replace(spec.params, seed=(spec.params.seed + index) % 2 ** 64)
-        _fill_simulated(row, params)
+        cfg = replace(base, scheme=Scheme.partial(value))
+    else:
+        n = int(value) if spec.swept == "n_ues" else base.num_ues
+        lambda_h = value if spec.swept == "lambda_h" else base.gen_rates[0]
+        cfg = replace(base, num_ues=n, gen_rates=(lambda_h,) * n,
+                      local_rates=base.local_rates[:1] * n, scheme=scheme)
+    row = ResultRow(spec.swept, value, cfg)
+    _fill_analytic(row)
     return row
 
 
 def run_sweep(spec: SweepSpec):
-    """Evaluate every (value, scheme) row; rows come back in input order."""
-    tasks = [(index, value, scheme)
-             for index, (value, scheme) in enumerate(
-                 (v, s) for v in spec.values for s in spec.schemes)]
-    workers = max_workers(len(tasks))
-    if spec.simulate:
-        from . import simulate  # noqa: F401  (import once, not on a row thread)
-    if workers == 1:
-        return [_evaluate_sweep_row(spec, *task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: _evaluate_sweep_row(spec, *task), tasks))
+    """Every (value, scheme) row, in input order; a simulating sweep
+    simulates the stable ones in one batch, row i at the base seed + i."""
+    rows = [_evaluate_sweep_row(spec, value, scheme)
+            for value in spec.values for scheme in spec.schemes]
+    if not spec.simulate:
+        return rows
+    from . import simulate
+
+    stable = [(row, replace(spec.params, seed=(spec.params.seed + index) % 2 ** 64))
+              for index, row in enumerate(rows) if row.status == "ok"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergenceWarning)
+        results = simulate.simulate_many([(row.cfg, params) for row, params in stable])
+    for (row, _), result in zip(stable, results):
+        if result.diagnostics.diverged:
+            row.status = "diverged"
+            continue
+        row.sim_aoi = result.system_aoi.value
+        row.sim_aoi_ci = result.system_aoi.ci95
+        row.sim_paoi = result.system_paoi.value
+        row.sim_paoi_ci = result.system_paoi.ci95
+        if result.diagnostics.near_unstable:
+            row.status = "near_unstable"
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +592,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="warm-up packets per UE to discard (default 10%%)")
         sp.add_argument("--reps", type=int, default=None, help="replications")
 
+    def resolution(text):
+        if not 0.0 < float(text) <= 0.5:
+            raise argparse.ArgumentTypeError(f"must lie in (0, 0.5], got {text}")
+        return float(text)
+
     sp = sub.add_parser("analytic", help="closed-form report for one config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None, help="also write a machine-readable row")
@@ -625,7 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", help="optimal offloading ratio, closed form and search")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--resolution", type=float, default=1e-3,
+    sp.add_argument("--resolution", type=resolution, default=1e-3,
                     help="grid resolution for the p search")
     sp.add_argument("--objective", choices=("aoi", "paoi"), default="paoi",
                     help="objective reported as selected in the output row")

@@ -314,9 +314,9 @@ class SimParams:
 def max_workers(tasks: int) -> int:
     """How many workers to use for `tasks` independent tasks.
 
-    AOI_MEC_THREADS caps the count (default os.cpu_count()): it sizes the
-    sweep's row threads and simulate_mec's replication processes. A value
-    that is not a positive integer raises ConfigParseError.
+    AOI_MEC_THREADS caps the count (default os.cpu_count()): it sizes
+    only simulate_many's replication processes. A value that is not a
+    positive integer raises ConfigParseError.
     """
     raw = os.environ.get("AOI_MEC_THREADS")
     if raw is not None:

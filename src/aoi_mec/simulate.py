@@ -37,27 +37,29 @@ consumption per run depends only on the generation randomness, so fixed
 seeds give common random numbers across offloading ratios and schemes
 (Partial(0) and Local produce bit-identical paths).
 
-Parallelism: the replications of one simulate_mec call are independent,
-and each reduces in _replication_summary to a few floats per UE, the
-edge-occupancy histograms and the peak queues; no column leaves it. A
-large call made from a single-threaded process maps that function over
-the replications in a process pool of up to AOI_MEC_THREADS workers
-(default: one per core), each holding one replication's columns at a
-time; smaller calls, and calls from a process that runs other threads
-(the sweep's row threads, a caller's own), map it in a plain loop. The
-pool uses fork, so workers start with numpy loaded and the arguments in
-memory, where spawn would re-import the package in each of them; fork
-is safe only while no other thread holds a lock, hence the
-single-threaded condition. The output cannot depend on the worker
-count: a replication's streams depend only on (seed, rep, stream), and
-the summaries are folded in replication order whichever way they were
+Parallelism: replications are independent, and each reduces in
+_replication_summary to a few floats per UE, the edge-occupancy
+histograms and the peak queues; no column leaves it. simulate_many maps
+that function over every replication of its batch of calls at once (a
+simulating sweep makes one batch of all its rows). A large batch made
+from a single-threaded process runs in one process pool of up to
+AOI_MEC_THREADS workers (default: one per core), each holding one
+replication's columns at a time; smaller batches, and batches from a
+process that runs other threads, run in a plain loop. The pool uses
+fork, so workers start with numpy loaded and the arguments in memory,
+where spawn would re-import the package in each of them; fork is safe
+only while no other thread holds a lock, hence the single-threaded
+condition. The output cannot depend on the worker count: a
+replication's streams depend only on (seed, rep, stream), and each call
+folds its summaries in replication order whichever way they were
 computed.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -375,7 +377,7 @@ def _estimate_ue(ue: dict, M: int, W: int, want_corr: bool):
 
 
 def _replication_summary(cfg: SystemConfig, params: SimParams, rep: int):
-    """One replication reduced to what simulate_mec pools across them.
+    """One replication reduced to what _fold pools across them.
 
     Returns (estimates, hists, peaks, sim_time): the _estimate_ue dict of
     each UE; each UE's histogram of the others' packets found at the edge
@@ -409,13 +411,14 @@ def _replication_summary(cfg: SystemConfig, params: SimParams, rep: int):
 PARALLEL_MIN_PACKETS = 250_000
 
 
-def _summaries(cfg: SystemConfig, params: SimParams) -> list:
-    """_replication_summary of every replication, in replication order."""
-    R = params.replications
-    workers = max_workers(R)
-    task = functools.partial(_replication_summary, cfg, params)
-    if (workers > 1
-            and cfg.num_ues * params.packets_per_ue * R >= PARALLEL_MIN_PACKETS
+def _summaries(jobs) -> list:
+    """_replication_summary of every (job, rep), job by job, in rep order."""
+    cfgs = [cfg for cfg, par in jobs for _ in range(par.replications)]
+    params = [par for _, par in jobs for _ in range(par.replications)]
+    reps = [rep for _, par in jobs for rep in range(par.replications)]
+    workers = max_workers(len(reps))
+    packets = sum(c.num_ues * p.packets_per_ue for c, p in zip(cfgs, params))
+    if (workers > 1 and packets >= PARALLEL_MIN_PACKETS
             and threading.active_count() == 1):
         import multiprocessing
 
@@ -425,8 +428,8 @@ def _summaries(cfg: SystemConfig, params: SimParams) -> list:
             with ProcessPoolExecutor(
                     max_workers=workers,
                     mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(task, range(R)))
-    return list(map(task, range(R)))
+                return list(pool.map(_replication_summary, cfgs, params, reps))
+    return list(map(_replication_summary, cfgs, params, reps))
 
 
 def _t_central_mass(t: float, df: int) -> float:
@@ -502,14 +505,36 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
     estimates just grow with run length, and the divergence flag trips
     when a queue exceeds params.queue_cap.
     """
+    return simulate_many([(cfg, params)])[0]
+
+
+def simulate_many(jobs) -> list[SimResult]:
+    """simulate_mec of each (cfg, params) pair in the list jobs, as one
+    batch (see the module docstring). Every job is checked before any
+    replication runs, and each diverged job warns once, in job order."""
+    for _, params in jobs:
+        if params.packets_per_ue - params.warmup() < 2:
+            raise InvalidParams(
+                "need at least 2 retained packets per UE to form generation pairs; "
+                f"got packets_per_ue={params.packets_per_ue}, warmup={params.warmup()}")
+    summaries = iter(_summaries(jobs))
+    results = [_fold(cfg, params, itertools.islice(summaries, params.replications))
+               for cfg, params in jobs]
+    level = 2  # warn at the first caller outside this module
+    while sys._getframe(level - 1).f_globals is globals():
+        level += 1
+    for (_, params), result in zip(jobs, results):
+        if result.diagnostics.diverged:
+            warnings.warn(
+                f"a queue exceeded {params.queue_cap} packets; the system is "
+                "likely unstable and the estimates will grow with run length",
+                DivergenceWarning, stacklevel=level)
+    return results
+
+
+def _fold(cfg: SystemConfig, params: SimParams, summaries) -> SimResult:
+    """Pool one job's replication summaries, in replication order."""
     N = cfg.num_ues
-    M = params.packets_per_ue
-    W = params.warmup()
-    if M - W < 2:
-        raise InvalidParams(
-            "need at least 2 retained packets per UE to form generation "
-            f"pairs; got packets_per_ue={M}, warmup={W}")
-    R = params.replications
     want_corr = params.record_correlations
 
     scalar_keys = ["aoi", "paoi"]
@@ -517,13 +542,12 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
         scalar_keys += ["yw_edge", "yw_tx", "yw_local",
                         "phi_bjd", "phi_ljd", "phi_bju", "phi_lju",
                         "cov_y_wedge", "cov_y_wtx", "cov_y_wlocal"]
-    acc = {k: np.zeros((R, N)) for k in scalar_keys}
+    acc = {k: np.zeros((params.replications, N)) for k in scalar_keys}
     hists = [np.zeros(0, dtype=np.int64) for _ in range(N)]
     peaks = [0] * (N + 2)
     sim_time = 0.0
 
-    for rep, (estimates, rep_hists, rep_peaks, rep_time) in enumerate(
-            _summaries(cfg, params)):
+    for rep, (estimates, rep_hists, rep_peaks, rep_time) in enumerate(summaries):
         peaks = [max(a, b) for a, b in zip(peaks, rep_peaks)]
         sim_time = max(sim_time, rep_time)
         for n, est in enumerate(estimates):
@@ -533,14 +557,6 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
             if len(h) > len(hists[n]):
                 h, hists[n] = hists[n], h.astype(np.int64)
             hists[n][:len(h)] += h
-
-    cap = params.queue_cap
-    diverged = max(peaks) > cap
-    if diverged:
-        warnings.warn(
-            f"a queue exceeded {cap} packets; the system is likely unstable "
-            "and the estimates will grow with run length", DivergenceWarning,
-            stacklevel=2)
 
     per_ue = {k: tuple(_aggregate(acc[k][:, n]) for n in range(N))
               for k in scalar_keys}
@@ -569,9 +585,9 @@ def simulate_mec(cfg: SystemConfig, params: SimParams) -> SimResult:
         max_tx_queue=peaks[1],
         max_local_queues=tuple(peaks[2:]),
         sim_time=sim_time,
-        diverged=diverged,
+        diverged=max(peaks) > params.queue_cap,
         near_unstable=check_stability(cfg).near_unstable,
-        replications=R,
+        replications=params.replications,
     )
     return SimResult(
         per_ue_aoi=per_ue["aoi"],

@@ -34,7 +34,7 @@ from aoi_mec.model import (
     derive_rates,
     normalize_scheme,
 )
-from aoi_mec.simulate import SimParams, simulate_mec
+from aoi_mec.simulate import SimParams, simulate_many, simulate_mec
 
 GRID_SEED = 20260814     # criteria 1-2 and the other simulation criteria
 DRAW_SEED = 20250814     # criterion 3 random config draws
@@ -201,13 +201,13 @@ def _phi_z_scores(cfg, index, terms, reps=10):
     """
     packets = max(2_000, math.ceil(100_000 / (0.9 * cfg.num_ues)))
     per_rep = np.empty((reps, len(terms)))
-    for r in range(reps):
-        params = SimParams(seed=DRAW_SEED + 1_000 * index + r,
-                           packets_per_ue=packets, replications=1,
-                           record_correlations=True)
-        corr = simulate_mec(cfg, params).correlations
+    results = simulate_many([(cfg, SimParams(seed=DRAW_SEED + 1_000 * index + r,
+                                             packets_per_ue=packets, replications=1,
+                                             record_correlations=True))
+                             for r in range(reps)])
+    for r, result in enumerate(results):
         for t, name in enumerate(terms):
-            per_rep[r, t] = np.mean([est.value for est in getattr(corr, name)])
+            per_rep[r, t] = np.mean([est.value for est in getattr(result.correlations, name)])
     mean = per_rep.mean(axis=0)
     se = per_rep.std(axis=0, ddof=1) / math.sqrt(reps)
     expected = _phi_expected(cfg, terms)

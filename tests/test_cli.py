@@ -365,19 +365,23 @@ class TestSweepCommand:
             assert abs(sim - float(row["aoi"])) / float(row["aoi"]) < 0.10
 
     def test_reruns_are_byte_identical_across_thread_counts(self, tmp_path, capsys,
-                                                            monkeypatch):
-        text = ("sweep = p\nvalues = 0, 0.5, 1\nn_ues = 2\nlambda = 0.2\n"
-                "mu_b = 1.5\nmu_d = 1.8\nmu_local = 0.6\n"
-                "simulate = true\npackets = 2000\nreps = 2\nseed = 7\n")
-        spec_path = write(tmp_path, "s.cfg", text)
-        outputs = []
-        for threads, name in (("1", "a.csv"), ("4", "b.csv"), ("2", "c.csv")):
-            monkeypatch.setenv("AOI_MEC_THREADS", threads)
-            out_path = str(tmp_path / name)
-            assert cli.main(["sweep", "--config", spec_path, "--out", out_path]) == 0
-            outputs.append(open(out_path, "rb").read())
-        capsys.readouterr()
-        assert outputs[0] == outputs[1] == outputs[2]
+                                                            monkeypatch, pools):
+        # 3 rows x 2 UEs x 2 replications: 24k packets, then at the pool threshold
+        for packets, opened in ((2000, []), (21_000, [4, 2])):
+            text = ("sweep = p\nvalues = 0, 0.5, 1\nn_ues = 2\nlambda = 0.2\n"
+                    "mu_b = 1.5\nmu_d = 1.8\nmu_local = 0.6\n"
+                    f"simulate = true\npackets = {packets}\nreps = 2\nseed = 7\n")
+            spec_path = write(tmp_path, "s.cfg", text)
+            outputs = []
+            pools.clear()
+            for threads, name in (("1", "a.csv"), ("4", "b.csv"), ("2", "c.csv")):
+                monkeypatch.setenv("AOI_MEC_THREADS", threads)
+                out_path = str(tmp_path / name)
+                assert cli.main(["sweep", "--config", spec_path, "--out", out_path]) == 0
+                outputs.append(open(out_path, "rb").read())
+            capsys.readouterr()
+            assert pools == opened
+            assert outputs[0] == outputs[1] == outputs[2]
 
     def test_simulate_flag_overrides_spec(self, tmp_path, capsys):
         text = ("sweep = lambda_h\nvalues = 0.1\nschemes = edge\n"
@@ -402,9 +406,11 @@ class TestSweepCommand:
         assert aoi[0] < aoi[1] < aoi[2]
 
     def test_bad_threads_env(self, tmp_path, capsys, monkeypatch):
+        # only simulation reads the variable
         monkeypatch.setenv("AOI_MEC_THREADS", "zero")
         text = ("sweep = lambda_h\nvalues = 0.1\nschemes = local\n"
-                "n_ues = 2\nmu_b = 1.5\nmu_d = 1.8\nmu_local = 0.6\n")
+                "n_ues = 2\nmu_b = 1.5\nmu_d = 1.8\nmu_local = 0.6\n"
+                "simulate = true\npackets = 200\nreps = 2\n")
         code = cli.main(["sweep", "--config", write(tmp_path, "s.cfg", text),
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -452,9 +458,9 @@ class TestLazyImports:
         path = write(tmp_path, "r.cfg", LOW_UTIL_CFG)
         proc = run_python("-c", "import sys; from aoi_mec import cli; "
                                 f"code = cli.main(['analytic', '--config', {path!r}]); "
-                                f"print(code, {HEAVY})")
+                                f"print(code, {HEAVY}, 'concurrent.futures' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert proc.stdout.splitlines()[-1] == "0 [] False"
 
     def test_optimize_command_loads_numpy_only(self, tmp_path):
         path = write(tmp_path, "r.cfg", LOW_UTIL_CFG)
@@ -675,6 +681,16 @@ class TestOptimizeCommand:
         assert row["objective"] == "aoi"
         assert row["p_selected"] == row["p_aoi"]
         assert float(row["aoi_gap_ratio"]) <= 0.02
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "2"])
+    def test_resolution_out_of_range_exit_2(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["optimize", "--config", write(tmp_path, "o.cfg", INTERIOR_CFG),
+                      "--resolution", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--resolution: must lie in (0, 0.5], got {value}\n" in err
+        assert "Traceback" not in err
 
     def test_search_values_match_library(self, tmp_path, capsys):
         from aoi_mec import optimize as opt

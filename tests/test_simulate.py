@@ -6,7 +6,6 @@ runs are sized to finish in seconds, so the statistical checks use wide
 (3 standard error) bands on quantities whose closed forms are exact.
 """
 
-import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -660,8 +659,9 @@ class TestDivergence:
         cfg = SystemConfig.homogeneous(1, 2.0, 5.0, 5.0, 1.0, Scheme.local())
         params = SimParams(seed=51, packets_per_ue=5_000, replications=1,
                            queue_cap=200)
-        with pytest.warns(DivergenceWarning):
+        with pytest.warns(DivergenceWarning) as record:
             res = simulate_mec(cfg, params)
+        assert [w.filename for w in record] == [__file__]
         assert res.diagnostics.diverged
         assert res.diagnostics.near_unstable
         assert math.isfinite(res.system_aoi.value)
@@ -688,19 +688,6 @@ class TestReplicationPool:
     cfg = SystemConfig.homogeneous(3, 0.3, 1.5, 2.0, 1.0, Scheme.partial(0.5))
     params = SimParams(seed=31, packets_per_ue=-(-PARALLEL_MIN_PACKETS // 9),
                        replications=3, record_correlations=True)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of every process pool opened, in order."""
-        opened = []
-
-        class Spy(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kw):
-                opened.append(max_workers)
-                super().__init__(max_workers, **kw)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-        return opened
 
     def test_any_worker_count_gives_the_same_result(self, monkeypatch, pools):
         results = []
@@ -739,3 +726,75 @@ class TestReplicationPool:
         assert info.value.args[0] != os.getpid()
         assert pools == [2]
         assert multiprocessing.active_children() == []
+
+
+def batch(packets):
+    """Mixed jobs for simulate_many: 24 UE-replications of `packets` each."""
+    cfg = SystemConfig.homogeneous(2, 0.3, 1.5, 2.0, 1.0, Scheme.local())
+    hetero = SystemConfig(3, (0.1, 0.2, 0.3), 1.5, 2.0, (0.8, 1.0, 1.2),
+                          Scheme.partial(0.4))
+    return [
+        (cfg, SimParams(seed=61, packets_per_ue=packets, replications=3)),
+        (cfg.with_scheme(Scheme.edge()),
+         SimParams(seed=62, packets_per_ue=packets, replications=2)),
+        (cfg.with_scheme(Scheme.partial(0.5)),
+         SimParams(seed=63, packets_per_ue=packets, replications=3,
+                   record_correlations=True)),
+        (hetero, SimParams(seed=64, packets_per_ue=packets, replications=2,
+                           record_correlations=True)),
+        (cfg, SimParams(seed=65, packets_per_ue=packets, replications=1)),
+    ]
+
+
+class TestSimulateMany:
+    """A batch equals its calls one by one, and shares one pool."""
+
+    @pytest.mark.parametrize("packets, opened", [
+        (2_000, []),  # 48k packets: a plain loop
+        (-(-PARALLEL_MIN_PACKETS // 24), [2]),  # at the threshold: one pool
+    ])
+    def test_batch_equals_calls_one_by_one(self, monkeypatch, pools, packets,
+                                           opened):
+        monkeypatch.setenv("AOI_MEC_THREADS", "2")
+        jobs = batch(packets)
+        results = simulate.simulate_many(jobs)
+        assert pools == opened
+        # each job alone is below the threshold, so these run serially
+        assert results == [simulate_mec(cfg, params) for cfg, params in jobs]
+        assert pools == opened
+        assert multiprocessing.active_children() == []
+
+    def test_short_job_fails_before_any_replication(self, monkeypatch, pools):
+        runs = []
+        real = simulate._run_replication
+        monkeypatch.setattr(simulate, "_run_replication",
+                            lambda *args: runs.append(args) or real(*args))
+        monkeypatch.setenv("AOI_MEC_THREADS", "2")
+        jobs = batch(-(-PARALLEL_MIN_PACKETS // 24))
+        short = SimParams(seed=66, packets_per_ue=10, warmup_packets_per_ue=9)
+        jobs.insert(2, (jobs[0][0], short))
+        with pytest.raises(InvalidParams, match="2 retained packets"):
+            simulate.simulate_many(jobs)
+        assert pools == []
+        assert runs == []
+
+    def test_one_warning_per_diverged_job_at_the_caller(self):
+        unstable = SystemConfig.homogeneous(1, 2.0, 5.0, 5.0, 1.0, Scheme.local())
+        stable = SystemConfig.homogeneous(1, 0.4, 5.0, 5.0, 1.0, Scheme.local())
+        jobs = [(unstable, SimParams(seed=51, packets_per_ue=5_000,
+                                     replications=1, queue_cap=200)),
+                (stable, SimParams(seed=52, packets_per_ue=5_000, replications=1)),
+                (unstable, SimParams(seed=53, packets_per_ue=5_000,
+                                     replications=1, queue_cap=150))]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            results = simulate.simulate_many(jobs)
+        assert [r.diagnostics.diverged for r in results] == [True, False, True]
+        caught = [w for w in record if w.category is DivergenceWarning]
+        assert [w.filename for w in caught] == [__file__, __file__]
+        assert ["200" in str(w.message) for w in caught] == [True, False]
+        assert ["150" in str(w.message) for w in caught] == [False, True]
+
+    def test_empty_batch(self, pools):
+        assert simulate.simulate_many([]) == []
+        assert pools == []
