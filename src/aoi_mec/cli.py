@@ -96,9 +96,12 @@ def _config_cells(cfg: SystemConfig):
 
 def _write_table(path, header, rows):
     """Comma-separated text: the header, then one line of cells per row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for cells in (header, *rows):
-            fh.write(",".join(_fmt(cell) for cell in cells) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for cells in (header, *rows):
+                fh.write(",".join(_fmt(cell) for cell in cells) + "\n")
+    except OSError as exc:
+        raise ConfigParseError(f"{path}: cannot write output file ({exc})")
 
 
 # ---------------------------------------------------------------------------

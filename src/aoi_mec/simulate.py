@@ -381,23 +381,25 @@ def _replication_summary(cfg: SystemConfig, params: SimParams, rep: int):
 
     Returns (estimates, hists, peaks, sim_time): the _estimate_ue dict of
     each UE; each UE's histogram of the others' packets found at the edge
-    node by generations that find none of its own, or None when
-    edge_found is not recorded; the peak queues of _run_replication; and
-    the last delivery time. Small enough to return from a worker process.
+    node by generations that find none of its own, empty when edge_found
+    is not recorded; the peak queues of _run_replication; and the last
+    delivery time. Small enough to return from a worker process.
     """
     M = params.packets_per_ue
     W = params.warmup()
     cols, offsets, peaks = _run_replication(cfg, params, rep)
     estimates = []
-    hists = [] if "edge_found" in cols else None
+    hists = []
     for n in range(cfg.num_ues):
         ue = {k: v[offsets[n]:offsets[n + 1]] for k, v in cols.items()}
         estimates.append(_estimate_ue(ue, M, W, params.record_correlations))
-        if hists is not None:
+        if "edge_found" in ue:
             # the geometric law conditions on finding none of the UE's
             # own packets at the edge node: all it finds is other UEs'
             hists.append(np.bincount(ue["edge_found"][W:M][
                 _own_idle(ue["gen"], ue["edge_done"], W, M)]))
+        else:
+            hists.append(np.zeros(0, np.intp))
     return estimates, hists, peaks, float(cols["local_done"].max())
 
 
@@ -533,58 +535,36 @@ def simulate_many(jobs) -> list[SimResult]:
 
 
 def _fold(cfg: SystemConfig, params: SimParams, summaries) -> SimResult:
-    """Pool one job's replication summaries, in replication order."""
-    N = cfg.num_ues
-    want_corr = params.record_correlations
+    """Pool one job's replication summaries, in replication order.
 
-    scalar_keys = ["aoi", "paoi"]
-    if want_corr:
-        scalar_keys += ["yw_edge", "yw_tx", "yw_local",
-                        "phi_bjd", "phi_ljd", "phi_bju", "phi_lju",
-                        "cov_y_wedge", "cov_y_wtx", "cov_y_wlocal"]
-    acc = {k: np.zeros((params.replications, N)) for k in scalar_keys}
-    hists = [np.zeros(0, dtype=np.int64) for _ in range(N)]
-    peaks = [0] * (N + 2)
-    sim_time = 0.0
-
-    for rep, (estimates, rep_hists, rep_peaks, rep_time) in enumerate(summaries):
-        peaks = [max(a, b) for a, b in zip(peaks, rep_peaks)]
-        sim_time = max(sim_time, rep_time)
-        for n, est in enumerate(estimates):
-            for k, v in est.items():
-                acc[k][rep, n] = v
-        for n, h in enumerate(rep_hists or ()):
-            if len(h) > len(hists[n]):
-                h, hists[n] = hists[n], h.astype(np.int64)
-            hists[n][:len(h)] += h
-
-    per_ue = {k: tuple(_aggregate(acc[k][:, n]) for n in range(N))
-              for k in scalar_keys}
-    system_aoi = _aggregate(acc["aoi"].mean(axis=1))
-    system_paoi = _aggregate(acc["paoi"].mean(axis=1))
+    Each estimate is pooled under the name _estimate_ue gives it, from one
+    (replications, UEs, estimates) table: aoi and paoi come first, then the
+    correlation terms in CorrelationEstimates' order. A UE's histograms add
+    bin by bin; they are empty when edge_found is not recorded.
+    """
+    estimates, hists, peaks, times = zip(*summaries)
+    names = list(estimates[0][0])
+    table = np.array([[list(est.values()) for est in rep] for rep in estimates])
+    # one column at a time: a 1-D reduction keeps numpy's pairwise
+    # summation, where an axis-0 reduction of the table adds rows in turn
+    per_ue = {name: tuple(_aggregate(table[:, n, i]) for n in range(cfg.num_ues))
+              for i, name in enumerate(names)}
 
     correlations = None
-    if want_corr:
+    if params.record_correlations:
+        pooled = [tuple(int(sum(bins)) for bins in itertools.zip_longest(*ue, fillvalue=0))
+                  for ue in zip(*hists)]
         correlations = CorrelationEstimates(
-            yw_edge=per_ue["yw_edge"],
-            yw_tx=per_ue["yw_tx"],
-            yw_local=per_ue["yw_local"],
-            phi_bjd=per_ue["phi_bjd"],
-            phi_ljd=per_ue["phi_ljd"],
-            phi_bju=per_ue["phi_bju"],
-            phi_lju=per_ue["phi_lju"],
-            cov_y_wedge=per_ue["cov_y_wedge"],
-            cov_y_wtx=per_ue["cov_y_wtx"],
-            cov_y_wlocal=per_ue["cov_y_wlocal"],
-            edge_others_hist_own0=tuple(tuple(int(c) for c in h) for h in hists),
-            edge_own0_samples=tuple(int(h.sum()) for h in hists),
-        )
+            **{name: per_ue[name] for name in names[2:]},
+            edge_others_hist_own0=tuple(pooled),
+            edge_own0_samples=tuple(sum(h) for h in pooled))
 
+    peaks = [max(queue) for queue in zip(*peaks)]
     diag = Diagnostics(
         max_edge_queue=peaks[0],
         max_tx_queue=peaks[1],
         max_local_queues=tuple(peaks[2:]),
-        sim_time=sim_time,
+        sim_time=max(times),
         diverged=max(peaks) > params.queue_cap,
         near_unstable=check_stability(cfg).near_unstable,
         replications=params.replications,
@@ -592,8 +572,8 @@ def _fold(cfg: SystemConfig, params: SimParams, summaries) -> SimResult:
     return SimResult(
         per_ue_aoi=per_ue["aoi"],
         per_ue_paoi=per_ue["paoi"],
-        system_aoi=system_aoi,
-        system_paoi=system_paoi,
+        system_aoi=_aggregate(table[:, :, 0].mean(axis=1)),
+        system_paoi=_aggregate(table[:, :, 1].mean(axis=1)),
         correlations=correlations,
         diagnostics=diag,
     )

@@ -701,3 +701,25 @@ class TestOptimizeCommand:
         cfg = SystemConfig.homogeneous(6, 0.2, 1.5, 1.8, 0.25, Scheme.partial(0.5))
         res = opt.search_p(cfg, objective="paoi", resolution=1e-3)
         assert printed_p == float("%.9g" % res.best_p)
+
+
+# ---------------------------------------------------------------------------
+# Output files.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, config, extra", [
+    ("analytic", LOW_UTIL_CFG, []),
+    ("sweep", "sweep = lambda_h\nvalues = 0.1\nschemes = local\n"
+              "n_ues = 2\nmu_b = 1.5\nmu_d = 1.8\nmu_local = 0.6\n", []),
+    ("validate", LOW_UTIL_CFG, ["--packets", "500", "--reps", "2"]),
+    ("optimize", INTERIOR_CFG, []),
+], ids=["analytic", "sweep", "validate", "optimize"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, config, extra):
+    out_path = tmp_path / "missing" / "x.csv"
+    code = cli.main([command, "--config", write(tmp_path, "c.cfg", config),
+                     "--out", str(out_path), *extra])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {out_path}: cannot write output file (")

@@ -9,6 +9,7 @@ runs are sized to finish in seconds, so the statistical checks use wide
 import math
 import multiprocessing
 import os
+import pickle
 import threading
 import warnings
 
@@ -269,6 +270,29 @@ class TestDeterminism:
             "Diagnostics(max_edge_queue=6, max_tx_queue=7, "
             "max_local_queues=(5, 5), sim_time=10339.171744537625, "
             "diverged=False, near_unstable=False, replications=2)")
+
+    def test_fixed_seed_output_is_pinned_at_ten_replications(self):
+        # Ten replications of nine UEs: the pooled means and spreads reduce
+        # at least 8 values, numpy's pairwise-summation block, so a change
+        # in the order the replications are summed shows here.
+        cfg = SystemConfig.homogeneous(9, 0.06, 1.5, 1.8, 0.5,
+                                       Scheme.partial(0.5))
+        res = simulate_mec(cfg, SimParams(seed=2025, packets_per_ue=2_000,
+                                          replications=10,
+                                          record_correlations=True))
+        assert repr(res.system_aoi) == (
+            "Estimate(value=18.809874987142628, se=0.07370507308258807, "
+            "ci95=0.16673245900834177)")
+        assert repr(res.correlations.yw_tx[4]) == (
+            "Estimate(value=3.324868114520327, se=0.1260446882253804, "
+            "ci95=0.28513289430171085)")
+        assert repr(res.diagnostics) == (
+            "Diagnostics(max_edge_queue=8, max_tx_queue=9, "
+            "max_local_queues=(4, 5, 4, 4, 4, 4, 4, 4, 4), "
+            "sim_time=35806.93878942731, diverged=False, "
+            "near_unstable=False, replications=10)")
+        assert res.correlations.edge_others_hist_own0[4] == (
+            14768, 2376, 346, 51, 11, 3)
 
     def test_boundary_partial_matches_pure_scheme_bitwise(self):
         # The engine reads the scheme only through derive_rates, which sees
@@ -674,6 +698,28 @@ class TestDivergence:
                                               replications=1))
         assert not res.diagnostics.diverged
         assert not res.diagnostics.near_unstable
+
+
+class TestReplicationSummary:
+    """What a replication hands to the fold, from a worker or a plain loop."""
+
+    cfg = SystemConfig.homogeneous(3, 0.2, 1.5, 1.8, 0.5, Scheme.partial(0.5))
+
+    def test_no_column_leaves_a_replication(self):
+        # a summary is O(N * estimates + histogram length), not O(packets)
+        sizes = [len(pickle.dumps(simulate._replication_summary(
+            self.cfg, SimParams(seed=4, packets_per_ue=packets,
+                                record_correlations=True), 0)))
+            for packets in (2_000, 20_000)]
+        assert sizes[1] < 2 * sizes[0]
+
+    def test_histograms_are_empty_when_not_recorded(self):
+        for cfg, corr in ((self.cfg, False),
+                          (self.cfg.with_scheme(Scheme.local()), True)):
+            _, hists, _, _ = simulate._replication_summary(
+                cfg, SimParams(seed=4, packets_per_ue=500,
+                               record_correlations=corr), 0)
+            assert [h.size for h in hists] == [0, 0, 0]
 
 
 class ReplicationFailed(Exception):
