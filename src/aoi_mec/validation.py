@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from . import analytic
-from .model import InvalidParams, SystemConfig, require_stable
+from .model import InvalidParams, SystemConfig, derive_rates, require_stable
 from .simulate import DivergenceWarning, SimParams, _t_quantile, simulate_mec
 
 # Chance that a run whose closed forms are all exact fails some term.
@@ -76,8 +76,9 @@ def run_validation(cfg: SystemConfig, params: SimParams) -> ValidationReport:
         _compare("system_paoi", metrics.system_paoi, result.system_paoi, bound),
     ]
     corr = result.correlations
+    rates = derive_rates(cfg)
     for n in range(cfg.num_ues):
-        yw_edge, yw_tx, yw_local = analytic.e_yw(cfg, n)
+        yw_edge, yw_tx, yw_local = analytic._e_yw_stages(rates, n)
         rows.append(_compare(f"yw_edge[{n}]", yw_edge, corr.yw_edge[n], bound))
         rows.append(_compare(f"yw_tx[{n}]", yw_tx, corr.yw_tx[n], bound))
         rows.append(_compare(f"yw_local[{n}]", yw_local, corr.yw_local[n], bound))

@@ -9,6 +9,7 @@ inside the test file, not from the module under test.
 import math
 import random
 
+import numpy  # noqa: F401  (system_metrics takes its array pass only once numpy is loaded)
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 from aoi_mec.model import (
     NotHomogeneous,
     Scheme,
+    SingularityUnresolved,
     SystemConfig,
     UnstableConfig,
     check_stability,
     derive_rates,
     normalize_scheme,
+    require_stable,
 )
 from aoi_mec import analytic as an
 
@@ -548,7 +551,8 @@ class TestSystemMetrics:
 
     @pytest.mark.parametrize("scheme", [Scheme.local(), Scheme.edge(), Scheme.partial(0.5)])
     def test_rates_derived_and_checked_once(self, scheme, monkeypatch):
-        # a per-UE re-derivation makes system_metrics O(N^2) in time
+        # a per-UE re-derivation makes system_metrics O(N^2) in time; the
+        # array pass derives the rates and tests stability inline
         calls = {"derive_rates": 0, "require_stable": 0}
         for name in calls:
             def counted(cfg, _real=getattr(an, name), _name=name):
@@ -558,14 +562,115 @@ class TestSystemMetrics:
         n = 200
         cfg = SystemConfig(n, tuple(0.001 * (1 + k / n) for k in range(n)), 1.5, 1.8,
                            tuple(0.25 + 0.001 * k for k in range(n)), scheme)
-        an.system_metrics(cfg)
-        assert calls == {"derive_rates": 1, "require_stable": 1}
+        for path, want in (("loop", 1), ("array", 0)):
+            calls.update(derive_rates=0, require_stable=0)
+            metrics_by(path, cfg)
+            assert calls == {"derive_rates": want, "require_stable": want}, path
 
     def test_deterministic_across_calls(self):
         cfg = homog(6, 0.1, 1.5, 1.8, 0.25, Scheme.partial(0.7))
         a = an.system_metrics(cfg)
         b = an.system_metrics(cfg)
         assert a == b  # bit-identical
+
+
+# ---------------------------------------------------------------------------
+# The array pass of system_metrics against the per-UE loop.
+# ---------------------------------------------------------------------------
+
+
+def hetero_config(draw, n, kind):
+    """N UEs with spread generation and local rates, stable under `kind`."""
+    total = draw.uniform(0.5, 1.2)
+    weights = [draw.uniform(0.5, 1.5) for _ in range(n)]
+    lam = tuple(w * total / sum(weights) for w in weights)
+    mu_local = tuple(ln + draw.uniform(0.1, 0.4) for ln in lam)
+    scheme = {"local": Scheme.local(), "edge": Scheme.edge(),
+              "partial": Scheme.partial(draw.uniform(0.2, 0.8))}[kind]
+    return SystemConfig(n, lam, draw.uniform(1.3, 4.0), draw.uniform(1.3, 3.0), mu_local, scheme)
+
+
+def metrics_by(path, cfg):
+    """system_metrics through the array pass or the per-UE loop, at any N."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(an, "ARRAY_MIN_UES", 1 if path == "array" else math.inf)
+        return an.system_metrics(cfg)
+
+
+class TestArrayPass:
+    def test_matches_per_ue_loop(self):
+        draw = random.Random(20)
+        t = an.ARRAY_MIN_UES
+        values = differ = 0
+        for kind in ("local", "edge", "partial"):
+            for n in (t - 1, t, 100, 1000):
+                for _ in range(8):
+                    cfg = hetero_config(draw, n, kind)
+                    want, got = metrics_by("loop", cfg), metrics_by("array", cfg)
+                    pairs = list(zip(want.per_ue_aoi + want.per_ue_paoi
+                                     + (want.system_aoi, want.system_paoi),
+                                     got.per_ue_aoi + got.per_ue_paoi
+                                     + (got.system_aoi, got.system_paoi)))
+                    for w, g in pairs:
+                        assert g == pytest.approx(w, rel=1e-12, abs=0.0), (kind, n)
+                    values += len(pairs)
+                    differ += sum(w != g for w, g in pairs)
+        print(f"array pass: {differ} of {values} values not bit-equal to the loop")
+        assert differ <= values // 1000
+
+    def test_flagged_ue_takes_the_singularity_policy(self):
+        # UE 7 sits on the removable singularity a = u + lo
+        n, p, mu_b = 200, 0.5, 2.0
+        lam_n = tuple(0.002 + 0.00001 * k for k in range(n))
+        lam = math.fsum(lam_n)
+        a = mu_b / p
+        mu_local = [ln + 0.2 for ln in lam_n]
+        mu_local[7] = (a - lam + lam_n[7]) * (1.0 - p)
+        cfg = SystemConfig(n, lam_n, mu_b, 1.8, tuple(mu_local), Scheme.partial(p))
+        rates = derive_rates(cfg)
+        u, lo = rates.eff_local[7], rates.others_gen[7]
+        assert an._near_singular(a, 1.8, u, lo)
+        phi = an._phi_eval(lam_n[7], lo, lam, a, 1.8, u, with_local=True)
+        yw = an._e_yw_queued(lam_n[7], lo, a, phi)
+        got = metrics_by("array", cfg)
+        assert got.per_ue_aoi[7] == an._aoi(lam_n[7], a, 1.8, u, yw)
+        assert got == metrics_by("loop", cfg)
+
+    def test_every_ue_flagged_on_the_edge_scheme(self):
+        # a == d: every UE is on the singularity
+        cfg = SystemConfig(50, tuple(0.01 + 0.0002 * k for k in range(50)), 1.8, 1.8,
+                           tuple(0.3 + 0.001 * k for k in range(50)), Scheme.edge())
+        got = metrics_by("array", cfg)
+        assert all(math.isfinite(v) for v in got.per_ue_aoi)
+        assert got == metrics_by("loop", cfg)
+
+    def test_unresolved_singularity_raises(self, monkeypatch):
+        monkeypatch.setattr(an, "SINGULARITY_TOL", 0.0)
+        # a = mu_B / p == d
+        cfg = SystemConfig(50, tuple(0.01 + 0.0002 * k for k in range(50)), 0.9, 1.8,
+                           tuple(0.3 + 0.001 * k for k in range(50)), Scheme.partial(0.5))
+        with pytest.raises(SingularityUnresolved):
+            metrics_by("array", cfg)
+
+    @pytest.mark.parametrize("case", ["edge", "tx_at_boundary", "local_at_boundary", "all"])
+    def test_unstable_raises_require_stable_message(self, case):
+        n, p = 200, 0.5
+        lam_n = tuple(0.004 + 0.00002 * k for k in range(n))
+        lam = math.fsum(lam_n)
+        mu_b, mu_d = 2.0, 1.8
+        mu_local = [ln + 0.2 for ln in lam_n]
+        if case in ("edge", "all"):
+            mu_b = 0.5 * p * lam
+        if case in ("tx_at_boundary", "all"):
+            mu_d = lam
+        if case in ("local_at_boundary", "all"):
+            mu_local[3] = lam_n[3] * (1.0 - p)  # u == lambda_3 exactly
+        cfg = SystemConfig(n, lam_n, mu_b, mu_d, tuple(mu_local), Scheme.partial(p))
+        with pytest.raises(UnstableConfig) as want:
+            require_stable(cfg)
+        with pytest.raises(UnstableConfig) as got:
+            metrics_by("array", cfg)
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,27 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "aoi_mec.simulate"
 
+    def test_analytic_command_prints_the_array_pass_values_without_numpy(self, tmp_path):
+        # a cold command keeps the per-UE loop; with numpy loaded the same
+        # config takes system_metrics' array pass
+        n = analytic.ARRAY_MIN_UES + 5
+        lam = ", ".join(repr(0.01 + 0.0007 * k) for k in range(n))
+        mu = ", ".join(repr(0.2 + 0.003 * k) for k in range(n))
+        path = write(tmp_path, "h.cfg", f"n_ues = {n}\nlambda = {lam}\nmu_b = 1.5\n"
+                                        f"mu_d = 1.8\nmu_local = {mu}\nscheme = partial\np = 0.4\n")
+        run = ("from aoi_mec import analytic, cli; passes = []; real = analytic._per_ue_array; "
+               "analytic._per_ue_array = lambda *a: passes.append(1) or real(*a); "
+               f"code = cli.main(['analytic', '--config', {path!r}]); "
+               f"print(code, {HEAVY}, len(passes))")
+        cold = run_python("-c", "import sys; " + run)
+        warm = run_python("-c", "import sys, numpy; " + run)
+        assert cold.returncode == 0, cold.stderr
+        assert warm.returncode == 0, warm.stderr
+        cold_lines, warm_lines = cold.stdout.splitlines(), warm.stdout.splitlines()
+        assert cold_lines[-1] == "0 [] 0"
+        assert warm_lines[-1] == "0 ['numpy'] 1"
+        assert len(cold_lines) > 4 and cold_lines[:-1] == warm_lines[:-1]
+
 
 # ---------------------------------------------------------------------------
 # validate subcommand.
@@ -536,13 +557,13 @@ class TestValidateCommand:
         assert "result: PASS" in out
 
     def test_corrupted_constant_fails_and_is_named(self, tmp_path, capsys, monkeypatch):
-        real = analytic.e_yw
+        real = analytic._e_yw_stages
 
-        def corrupted(cfg, n):
-            edge, tx, local = real(cfg, n)
+        def corrupted(rates, n):
+            edge, tx, local = real(rates, n)
             return edge, tx + 0.5, local
 
-        monkeypatch.setattr("aoi_mec.analytic.e_yw", corrupted)
+        monkeypatch.setattr("aoi_mec.analytic._e_yw_stages", corrupted)
         # 10 replications: the bound is 4.85 standard errors, against 13.3 at 4
         code = cli.main(["validate", "--config", write(tmp_path, "v.cfg", LOW_UTIL_CFG),
                          "--packets", "5000", "--reps", "10", "--seed", "21"])
@@ -586,13 +607,13 @@ class TestRunValidation:
         return SystemConfig.homogeneous(3, 0.05, 1.5, 1.8, 0.25, Scheme.partial(0.5))
 
     def test_override_corrupts_one_term(self, monkeypatch):
-        real = analytic.e_yw
+        real = analytic._e_yw_stages
 
-        def corrupted(cfg, n):
-            edge, tx, local = real(cfg, n)
+        def corrupted(rates, n):
+            edge, tx, local = real(rates, n)
             return edge, tx + 0.7 if n == 1 else tx, local
 
-        monkeypatch.setattr("aoi_mec.analytic.e_yw", corrupted)
+        monkeypatch.setattr("aoi_mec.analytic._e_yw_stages", corrupted)
         report = validation.run_validation(self.cfg(), self.params(replications=10))
         assert not report.passed
         bad = next(r for r in report.rows if r.name == "yw_tx[1]")
