@@ -31,7 +31,6 @@ from .model import (
     NotHomogeneous,
     Scheme,
     SimParams,
-    SingularityUnresolved,
     StabilityReport,
     SystemConfig,
     UnstableConfig,
@@ -81,7 +80,6 @@ __all__ = [
     "normalize_scheme",
     "UnstableConfig",
     "NotHomogeneous",
-    "SingularityUnresolved",
     "InvalidParams",
     "ConfigParseError",
     "EmptyStableInterval",

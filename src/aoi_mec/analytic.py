@@ -24,19 +24,19 @@ transient workload transform (_e_yw_first_stage).
 The transmission- and local-stage terms split, per stage, into two
 contributions conditioned on whether the packet catches up with its
 predecessor (phi_bjd / phi_bju) or finds it already gone (phi_ljd /
-phi_lju). The split terms are rational functions of the rates with three
-removable singularities, handled by a two-sided perturbation policy. They,
-and the local scheme's first-stage transmission term, are exact for N = 1
-and first-order approximations for N > 1.
+phi_lju). The split terms are rational functions of the rates, written
+with their removable singularities cancelled, so coincident rates such
+as mu_B = p mu_D evaluate directly. They, and the local scheme's
+first-stage transmission term, are exact for N = 1 and first-order
+approximations for N > 1.
 
 system_metrics evaluates the UEs in one of two ways, with the same values.
 The per-UE loop runs the formulas on floats, one UE at a time. The array
-pass runs the same functions once, on numpy arrays over all UEs, and
-redoes each UE that the singularity trigger flags through the scalar
-policy. The array pass is taken when there are at least ARRAY_MIN_UES
-UEs and numpy is already loaded. This module never imports numpy itself,
-so `import aoi_mec` and the `analytic` command stay on the standard
-library, and small N keeps the loop, which is faster there.
+pass runs the same functions once, on numpy arrays over all UEs. It is
+taken when there are at least ARRAY_MIN_UES UEs and numpy is already
+loaded. This module never imports numpy itself, so `import aoi_mec` and
+the `analytic` command stay on the standard library, and small N keeps
+the loop, which is faster there.
 
 All functions are pure; heterogeneous per-UE rates are supported wherever
 the underlying formula is stated per UE.
@@ -52,7 +52,6 @@ from .model import (
     DerivedRates,
     NotHomogeneous,
     Scheme,
-    SingularityUnresolved,
     SystemConfig,
     check_stability,
     derive_rates,
@@ -60,17 +59,10 @@ from .model import (
     require_stable,
 )
 
-# Two-sided perturbation policy for the removable singularities in the
-# correlation terms: trigger threshold (relative), perturbation size
-# (relative), and the max allowed disagreement between the two sides.
-SINGULARITY_TRIGGER = 1e-9
-SINGULARITY_EPS = 1e-6
-SINGULARITY_TOL = 1e-3
-
 # Fewest UEs for which system_metrics takes the array pass (when numpy is
 # loaded). Measured on 2 cores, Python 3.11, numpy 2.4: below about 50 UEs
-# the pass costs a flat 32 / 82 / 160 us (local / edge / partial), the loop
-# 1.8 / 4.7 / 6.5 us per UE. They break even at 18 / 18 / 24 UEs.
+# the pass costs a flat 38 / 76 / 118 us (local / edge / partial), the loop
+# 2.1 / 4.3 / 5.6 us per UE. They break even at 18 / 18 / 21 UEs.
 ARRAY_MIN_UES = 20
 
 
@@ -97,9 +89,6 @@ class PhiTerms:
     phi_ljd: float
     phi_bju: float
     phi_lju: float
-
-    def total(self) -> float:
-        return self.phi_bjd + self.phi_ljd + self.phi_bju + self.phi_lju
 
 
 @dataclass(frozen=True)
@@ -188,84 +177,74 @@ def _e_yw_first_order(ln, lo, lam, a):
             - 1.0 / (a - lo) ** 2)
 
 
+# The four split terms. Their published forms divide by a - d, a - u - lo
+# and d - u - lo; each such factor is cancelled below, e.g. in bjd
+# (1/y^2 - 1/x^2) / (a - d) = (x + y) / (x^2 y^2). With the positive
+# differences c = a - lam, e = d - lam, v = u - ln, x = a - lo, y = d - lo
+# and s = c + y (= a + d - lam - lo), every sum adds positive terms, so
+# no digits cancel at coincident rates or near saturation. Products are
+# written as chains of ratios, so no intermediate is of more than second
+# degree in the rates and extreme rate scales neither overflow nor
+# underflow.
+
+
 def _phi_bjd_raw(ln, lo, lam, a, d):
     # Transmission-queue contribution when the packet arrives there before
     # its predecessor has left for the local queue: residual-delay part
     # (t1, t2) plus the backlog generated during the gap (t3, t4).
-    t1 = ln * (a + d - lam) / (a * (d - lam) * (a + d - lam - lo) ** 2)
-    t2 = (ln * (a - lam) * (a - lo)
-          * (1.0 / (d - lo) ** 2 - 1.0 / (a - lo) ** 2)
-          / ((a - d) * (d - lam) * (a + d - lam - lo)))
-    t3 = (ln * lo * (a - lam) * (a - lo)
-          * (2.0 / (d - lo) ** 3 - 2.0 / (a - lo) ** 3)
-          / (d * (a - d) * (a + d - lam - lo)))
-    t4 = 2.0 * ln * lo * (a + d - lam) / (a * d * (a + d - lam - lo) ** 3)
+    c, e, x, y = a - lam, d - lam, a - lo, d - lo
+    s = c + y
+    t1 = ln / a * (c + d) / e / s / s
+    t2 = ln / x * c / e * (x + y) / y / y / s
+    t3 = 2.0 * ln / x * lo / d * c / s * (x * x + x * y + y * y) / x / y / y / y
+    t4 = 2.0 * ln / a * lo / d * (c + d) / s / s / s
     return t1 + t2 + t3 + t4
 
 
 def _phi_ljd_raw(ln, lo, lam, a, d):
     # Transmission-queue contribution when the predecessor is already gone:
-    # only the stationary backlog left by the other UEs matters.
-    inner = (1.0 / ln
-             - ln * (a + d - lam) / (a * (a + d - lam - lo) ** 2)
-             - ln * (a - lam)
-             * (1.0 / (a - lo) - (a - lo) / (d - lo) ** 2)
-             / ((d - a) * (a + d - lam - lo)))
-    return lo / (d * (d - lo)) * inner
+    # only the stationary backlog left by the other UEs matters. The
+    # published 1/ln minus two terms, over one denominator, has e as a
+    # factor and positive terms otherwise.
+    c, e, x, y = a - lam, d - lam, a - lo, d - lo
+    s = c + y
+    h, r = c * (y + ln) / y / y, ln / s
+    return lo / ln * e / a / d / y * (h + r + h * r + (h + r) * lo / x * (s + ln) / s)
 
 
 def _phi_bju_raw(ln, lo, lam, a, d, u):
     # Local-queue contribution when the packet reaches the transmission
-    # queue before its predecessor reaches the local queue.
-    t1 = (ln * (a - lam) * (a - lo) * (d + u - ln)
-          / (d * (d - lam + u) ** 2 * (u - ln) * (a - d) * (a + d - lam - lo)))
-    t2 = (ln * d * (a - lam) * (a - lo) * (d + u - ln)
-          / ((u - ln) * (a - d) * (a + d - lam - lo)
-             * ((d + u) * a - lam * d + (d - a) * ln) ** 2))
-    big = ((a + d - lam) * (d + u - ln) * (a - lo)
-           + lo * (d * d + (2.0 * u - 2.0 * ln - lam) * d + (a - 2.0 * lam) * (u - ln)))
-    t3 = ln * a * d * (d + u - ln) * (a + d - lam) / ((u - ln) * big ** 2)
-    return t1 - t2 + t3
+    # queue before its predecessor reaches the local queue. t12 is the
+    # difference of two terms over a - d: with p = d - lam + u and
+    # big_d = (d + u) a - lam d + (d - a) ln, big_d - d p = (a - d)(d + v).
+    c, e, v, x = a - lam, d - lam, u - ln, a - lo
+    s, p = c + (d - lo), e + u
+    big_d = d * x + a * v
+    t12 = ln / v * c / s * x / d * ((d + v) / p) ** 2 * (big_d + d * p) / big_d / big_d
+    # b is the published denominator root over (a + e)(d + v)
+    b = x + lo * (d * e + c * v + v * (d + e)) / ((a + e) * (d + v))
+    t3 = ln / v * a / (a + e) * d / (d + v) / b / b
+    return t12 + t3
 
 
 def _phi_lju_raw(ln, lo, lam, a, d, u):
     # Local-queue contribution when the predecessor already reached the
-    # local queue. The third term shares the (d + u - lam) factor of the
-    # first two in its denominator; dropping it breaks dimensional
-    # consistency and the local-scheme limit.
-    t1 = (ln * (d - lam) * (d - lo)
-          / (a * (u - ln) * (d - u - lo) * (d + u - lam))
-          * ((a + u - ln) / (a + u - lam) ** 2
-             - (a + d - lam) / (a + d - lam - lo) ** 2))
-    t2 = (ln * (a - lam) * (a - lo) * (d - lam) * (d - lo)
-          * (1.0 / u ** 2 - 1.0 / (a - lo) ** 2)
-          / ((u - ln) * (d - u - lo) * (d + u - lam)
-             * (a + u - lam) * (a - u - lo)))
-    t3 = (ln * (a - lam) * (a - lo) * (d - lam) * (d - lo)
-          * (1.0 / (d - lo) ** 2 - 1.0 / (a - lo) ** 2)
-          / ((u - ln) * (d - u - lo) * (d + u - lam)
-             * (a - d) * (a + d - lam - lo)))
-    return t1 + t2 - t3
-
-
-def _near_singular(a, d, u, lo):
-    """True if any of the three removable denominators is relatively tiny.
-
-    The critical differences are a - d, a - (u + lo), d - (u + lo). u may be
-    +inf (edge scheme): the u-differences are then infinite and never
-    flagged. Each test |x - y| < T max(x, y) is written as two comparisons
-    (rounding is monotone, so they agree exactly), which lets the rates be
-    numpy arrays as well as floats.
-    """
-    t = SINGULARITY_TRIGGER
-    ulo = u + lo
-    ad, au, du = abs(a - d), abs(a - u - lo), abs(d - u - lo)
-    return ((ad < t * a) | (ad < t * d) | (au < t * a) | (au < t * ulo)
-            | (du < t * d) | (du < t * ulo))
+    # local queue. Every term shares the (d + u - lam) factor in its
+    # denominator; dropping it breaks dimensional consistency and the
+    # local-scheme limit. t1's bracket over d - u - lo is f(X) - f(s) with
+    # f(z) = (z + lo)/z^2, X = big_x; t23 is the difference of two terms
+    # over d - u - lo.
+    c, e, x, y = a - lam, d - lam, a - lo, d - lo
+    big_x, s = c + u, c + y
+    k = ln / (u - ln) * e / (e + u)
+    t1 = k * y / a / big_x / s * (1.0 + lo * (big_x + s) / (big_x * s))
+    q = (c * (u + y) + u * u + u * y + y * y) / (u * y) + (c + u + y) / x
+    t23 = k * c / u / big_x / s * q
+    return t1 + t23
 
 
 def _phi_raw(ln, lo, lam, a, d, u, with_local):
-    """The four phi terms (bjd, ljd, bju, lju), no singularity policy.
+    """The four phi terms (bjd, ljd, bju, lju).
 
     with_local=False evaluates only the transmission-queue pair (edge
     scheme / u = +inf), where the local stage is a pass-through.
@@ -277,50 +256,14 @@ def _phi_raw(ln, lo, lam, a, d, u, with_local):
     return (bjd, ljd, _phi_bju_raw(ln, lo, lam, a, d, u), _phi_lju_raw(ln, lo, lam, a, d, u))
 
 
-def _phi_eval(ln, lo, lam, a, d, u, with_local: bool):
-    """Evaluate the (up to) four phi terms, applying the singularity policy."""
-    if not _near_singular(a, d, u, lo):
-        return PhiTerms(*_phi_raw(ln, lo, lam, a, d, u, with_local))
-
-    # Perturb the edge and transmission rates in opposite directions; this
-    # strictly moves all three critical differences. If a perturbed point is
-    # itself near-singular (double-degenerate input), escalate epsilon.
-    eps = SINGULARITY_EPS
-    for _ in range(3):
-        hi = (a * (1.0 + eps), d * (1.0 - eps))
-        lo_ = (a * (1.0 - eps), d * (1.0 + eps))
-        if not _near_singular(hi[0], hi[1], u, lo) and not _near_singular(lo_[0], lo_[1], u, lo):
-            break
-        eps *= 1.618
-    else:
-        raise SingularityUnresolved(
-            "could not step away from the removable singularity "
-            f"(a = {a:g}, d = {d:g}, u = {u:g}, others = {lo:g})"
-        )
-
-    plus = _phi_raw(ln, lo, lam, hi[0], hi[1], u, with_local)
-    minus = _phi_raw(ln, lo, lam, lo_[0], lo_[1], u, with_local)
-    names = ("phi_bjd", "phi_ljd", "phi_bju", "phi_lju")
-    out = []
-    for name, vp, vm in zip(names, plus, minus):
-        scale = max(abs(vp), abs(vm), 1e-30)
-        if abs(vp - vm) > SINGULARITY_TOL * scale:
-            raise SingularityUnresolved(
-                f"{name}: two-sided evaluations disagree "
-                f"({vp:.12g} vs {vm:.12g}) near the removable singularity"
-            )
-        out.append(0.5 * (vp + vm))
-    return PhiTerms(*out)
-
-
 def phi_terms_partial(rates: DerivedRates, ue_index: int) -> PhiTerms:
     """Correlation-term contributions for the partial scheme (0 < p < 1)."""
     a = rates.eff_edge
     u = rates.eff_local[ue_index]
     if not (math.isfinite(a) and math.isfinite(u)):
         raise ValueError("partial-scheme correlation terms need 0 < p < 1")
-    return _phi_eval(rates.gen_rate(ue_index), rates.others_gen[ue_index],
-                     rates.total_gen, a, rates.tx_rate, u, with_local=True)
+    return PhiTerms(*_phi_raw(rates.gen_rate(ue_index), rates.others_gen[ue_index],
+                              rates.total_gen, a, rates.tx_rate, u, with_local=True))
 
 
 def phi_terms_edge(rates: DerivedRates, ue_index: int) -> PhiTerms:
@@ -328,9 +271,9 @@ def phi_terms_edge(rates: DerivedRates, ue_index: int) -> PhiTerms:
     a = rates.eff_edge
     if not math.isfinite(a):
         raise ValueError("edge-scheme correlation terms need a finite edge rate")
-    return _phi_eval(rates.gen_rate(ue_index), rates.others_gen[ue_index],
-                     rates.total_gen, a, rates.tx_rate, math.inf,
-                     with_local=False)
+    return PhiTerms(*_phi_raw(rates.gen_rate(ue_index), rates.others_gen[ue_index],
+                              rates.total_gen, a, rates.tx_rate, math.inf,
+                              with_local=False))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +412,7 @@ def _per_ue_array(cfg: SystemConfig) -> tuple[list[float], list[float]]:
 
     The rates are derived as derive_rates does and tested with
     check_stability's expressions; require_stable raises with its usual
-    message. The four phi terms are taken raw, and every UE that the
-    singularity trigger flags is redone through the scalar _phi_eval.
+    message.
     """
     np = sys.modules["numpy"]
     ln = np.array(cfg.gen_rates)
@@ -488,16 +430,8 @@ def _per_ue_array(cfg: SystemConfig) -> tuple[list[float], list[float]]:
     if math.isinf(a):
         yw = _e_yw_local_scheme(ln, lo, lam, d, u)
     else:
-        with_local = p < 1.0
-        # a flagged UE may divide by zero here; its raw terms are replaced
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bjd, ljd, bju, lju = _phi_raw(ln, lo, lam, a, d, u, with_local)
-        for i in np.flatnonzero(_near_singular(a, d, u, lo)):
-            phi = _phi_eval(float(ln[i]), float(lo[i]), lam, a, d, float(u[i]), with_local)
-            bjd[i], ljd[i] = phi.phi_bjd, phi.phi_ljd
-            if with_local:
-                bju[i], lju[i] = phi.phi_bju, phi.phi_lju
-        yw = _e_yw_queued(ln, lo, a, PhiTerms(bjd, ljd, bju, lju), np.sqrt)
+        phi = PhiTerms(*_phi_raw(ln, lo, lam, a, d, u, p < 1.0))
+        yw = _e_yw_queued(ln, lo, a, phi, np.sqrt)
     return (_aoi(ln, a, d, u, yw).tolist(), _paoi(ln, lam, a, d, u).tolist())
 
 

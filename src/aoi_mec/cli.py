@@ -596,8 +596,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--reps", type=int, default=None, help="replications")
 
     def resolution(text):
-        if not 0.0 < float(text) <= 0.5:
-            raise argparse.ArgumentTypeError(f"must lie in (0, 0.5], got {text}")
+        from . import optimize  # here, so that `analytic` loads no numpy
+        if not optimize.REFINE_TOL <= float(text) <= 0.5:
+            raise argparse.ArgumentTypeError(
+                f"must lie in [{optimize.REFINE_TOL:g}, 0.5], got {text}")
         return float(text)
 
     sp = sub.add_parser("analytic", help="closed-form report for one config")

@@ -42,10 +42,6 @@ class NotHomogeneous(Exception):
     """An operation defined only for homogeneous UEs got a heterogeneous config."""
 
 
-class SingularityUnresolved(Exception):
-    """Two-sided perturbation around a removable singularity disagreed."""
-
-
 class InvalidParams(Exception):
     """Simulation parameters violate their invariants."""
 

@@ -8,7 +8,7 @@ always safe; AoI is refined only after the grid scan shows a single
 local minimum, otherwise the grid argmin is returned as-is.
 
 The scan is one numpy evaluation of analytic's closed forms over the
-whole grid; only p = 0, p = 1 and points near a removable singularity go
+whole grid; only p = 0 and p = 1, where a stage is a pass-through, go
 through the scalar system_metrics. The refinement is an in-house golden
 section search (Kiefer, "Sequential minimax search for a maximum",
 1953) of the grid cells on both sides of the grid winner, with scalar
@@ -33,6 +33,9 @@ from .model import (
 )
 from . import analytic
 
+# The golden-section refinement's tolerance; also the finest grid step
+# search_p accepts, since a finer grid resolves nothing the refinement
+# does not.
 REFINE_TOL = 1e-6
 
 # golden-section constants: the section ratio 2/(1 + sqrt(5)) to scipy's
@@ -121,12 +124,10 @@ def _grid_values(cfg: SystemConfig, p: np.ndarray,
                  objective: str) -> tuple[np.ndarray, np.ndarray]:
     """Objective values on the ratio grid p, and the stability mask.
 
-    Stable interior points that are not near a removable singularity take
-    one array evaluation of the closed forms (one UE: the UEs are
-    identical). The rest of the stable points, p = 0, p = 1 and the
-    flagged ones, go through the scalar system_metrics, which applies the
-    singularity policy. The mask uses check_stability's expressions;
-    unstable points get nan.
+    Stable interior points take one array evaluation of the closed forms
+    (one UE: the UEs are identical). A stable p = 0 or p = 1 goes through
+    the scalar system_metrics, which takes the local or edge scheme there.
+    The mask uses check_stability's expressions; unstable points get nan.
     """
     ln = cfg.gen_rates[0]
     lam = math.fsum(cfg.gen_rates)
@@ -136,7 +137,7 @@ def _grid_values(cfg: SystemConfig, p: np.ndarray,
         a = cfg.edge_rate / p
         u = cfg.local_rates[0] / (1.0 - p)
     stable = (lam < a) & (lam < d) & (ln < u)
-    fast = stable & (p > 0.0) & (p < 1.0) & ~analytic._near_singular(a, d, u, lo)
+    fast = stable & (p > 0.0) & (p < 1.0)
     a, u = a[fast], u[fast]
     if objective == "paoi":
         x = analytic._paoi(ln, lam, a, d, u)
@@ -189,14 +190,15 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
              resolution: float = 1e-3) -> OptResult:
     """Minimize the analytic system AoI or peak AoI over the ratio p.
 
-    Scans the stable interval at the given resolution, then refines
-    around the best grid point down to 1e-6. Ties break toward smaller
+    Scans the stable interval at the given resolution, in
+    [REFINE_TOL, 0.5], then refines around the best grid point down to
+    REFINE_TOL. Ties break toward smaller
     p. Raises EmptyStableInterval when no ratio stabilizes the system.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-    if not 0 < resolution <= 0.5:
-        raise ValueError(f"resolution must be in (0, 0.5], got {resolution}")
+    if not REFINE_TOL <= resolution <= 0.5:
+        raise ValueError(f"resolution must be in [{REFINE_TOL:g}, 0.5], got {resolution}")
     interval = stable_p_interval(cfg)
     if interval is None:
         raise EmptyStableInterval(

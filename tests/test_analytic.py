@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from aoi_mec.model import (
     NotHomogeneous,
     Scheme,
-    SingularityUnresolved,
     SystemConfig,
     UnstableConfig,
     check_stability,
@@ -296,8 +295,8 @@ class TestPhiTerms:
                            Scheme.partial(0.5))
         r = derive_rates(cfg)
         got = an.phi_terms_partial(r, 0)
-        want = an._phi_eval(cfg.gen_rates[0], r.others_gen[0], r.total_gen,
-                            r.eff_edge, r.tx_rate, r.eff_local[0], True)
+        want = an.PhiTerms(*an._phi_raw(cfg.gen_rates[0], r.others_gen[0], r.total_gen,
+                                        r.eff_edge, r.tx_rate, r.eff_local[0], True))
         for name in ("phi_bjd", "phi_ljd", "phi_bju", "phi_lju"):
             assert getattr(got, name) == pytest.approx(getattr(want, name),
                                                        rel=1e-15, abs=0.0)
@@ -329,7 +328,75 @@ class TestPhiTerms:
             v = getattr(phi, name)
             assert math.isfinite(v), f"{name} not finite on {cfg}"
             assert v >= -1e-12, f"{name} = {v} < 0 on {cfg}"
-        assert phi.total() >= 0.0
+        assert phi.phi_bjd + phi.phi_ljd + phi.phi_bju + phi.phi_lju >= 0.0
+
+
+def published_phi(ln, lo, lam, a, d, u):
+    """The four split terms in their published form, at 60 digits.
+
+    These divide by a - d, a - u - lo and d - u - lo. Exactly on one of
+    those coincidences they are evaluated with u (or, for a = d, a) moved
+    1e-30 relative off it, which moves a 60-digit value by about 1e-30.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        ln, lo, lam, a, d, u = (mp.mpf(v) for v in (ln, lo, lam, a, d, u))
+        if a == d:
+            a *= 1 + mp.mpf("1e-30")
+        if a - u - lo == 0 or d - u - lo == 0:
+            u *= 1 + mp.mpf("1e-30")
+        s = a + d - lam - lo
+        bjd = (ln * (a + d - lam) / (a * (d - lam) * s ** 2)
+               + ln * (a - lam) * (a - lo) * (1 / (d - lo) ** 2 - 1 / (a - lo) ** 2)
+               / ((a - d) * (d - lam) * s)
+               + ln * lo * (a - lam) * (a - lo) * (2 / (d - lo) ** 3 - 2 / (a - lo) ** 3)
+               / (d * (a - d) * s)
+               + 2 * ln * lo * (a + d - lam) / (a * d * s ** 3))
+        ljd = lo / (d * (d - lo)) * (
+            1 / ln - ln * (a + d - lam) / (a * s ** 2)
+            - ln * (a - lam) * (1 / (a - lo) - (a - lo) / (d - lo) ** 2) / ((d - a) * s))
+        common = ln * (a - lam) * (a - lo) * (d + u - ln) / ((u - ln) * (a - d) * s)
+        big = ((a + d - lam) * (d + u - ln) * (a - lo)
+               + lo * (d * d + (2 * u - 2 * ln - lam) * d + (a - 2 * lam) * (u - ln)))
+        bju = (common / (d * (d - lam + u) ** 2)
+               - common * d / ((d + u) * a - lam * d + (d - a) * ln) ** 2
+               + ln * a * d * (d + u - ln) * (a + d - lam) / ((u - ln) * big ** 2))
+        k = ln * (d - lam) * (d - lo) / ((u - ln) * (d - u - lo) * (d + u - lam))
+        lju = (k / a * ((a + u - ln) / (a + u - lam) ** 2 - (a + d - lam) / s ** 2)
+               + k * (a - lam) * (a - lo) * (1 / u ** 2 - 1 / (a - lo) ** 2)
+               / ((a + u - lam) * (a - u - lo))
+               - k * (a - lam) * (a - lo) * (1 / (d - lo) ** 2 - 1 / (a - lo) ** 2)
+               / ((a - d) * s))
+        return (bjd, ljd, bju, lju)
+
+
+class TestSplitTermsExact:
+    def test_at_and_beside_each_removable_singularity(self):
+        pytest.importorskip("mpmath")
+        rng = random.Random(20261020)
+
+        def dyadic(v):  # so that differences of rates are exact
+            return round(v * 2 ** 30) / 2 ** 30
+
+        worst = 0.0
+        for _ in range(12):
+            ln = dyadic(10.0 ** rng.uniform(-4.0, 0.0))
+            lo = dyadic(rng.choice([0.0, 0.01, 1.0, 10.0]) * rng.uniform(0.5, 2.0))
+            lam = ln + lo
+            # utilizations from moderate up to 0.9999
+            a, d = (dyadic(lam * (1.0 + 10.0 ** rng.uniform(-4.0, 0.5))) for _ in "ad")
+            u = dyadic(ln * (1.0 + 10.0 ** rng.uniform(-4.0, 1.0)))
+            for delta in (0.0, 1e-12, 1e-9, 1e-6):
+                points = [(d * (1.0 + delta), d, u),               # a = d
+                          (a, d, (a - lo) * (1.0 + delta)),        # a = u + lo
+                          (a, d, (d - lo) * (1.0 + delta))]        # d = u + lo
+                for aa, dd, uu in points:
+                    got = an._phi_raw(ln, lo, lam, aa, dd, uu, True)
+                    want = published_phi(ln, lo, lam, aa, dd, uu)
+                    for g, w in zip(got, want):
+                        if w != 0:
+                            worst = max(worst, float(abs((g - w) / w)))
+        assert worst < 1e-14
 
 
 class TestSingularityPolicy:
@@ -363,6 +430,18 @@ class TestSingularityPolicy:
         assert math.isfinite(v)
         cfg_near = homog(2, 0.2, 1.0 * (1 + 1e-5), 3.0, 0.9, Scheme.partial(0.5))
         assert v == pytest.approx(an.system_metrics(cfg_near).per_ue_aoi[0], rel=1e-3)
+
+    @pytest.mark.parametrize("mu_d", [1.0 / 0.998, 1.0000005])
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_coincident_rates_near_saturation(self, mu_d, p):
+        # a = d (mu_B = p mu_D) at transmission utilization 0.998 and
+        # 1 - 5e-7: finite, and inside the bounds
+        cfg = homog(2, 0.5, p * mu_d, mu_d, 1.0,
+                    Scheme.edge() if p == 1.0 else Scheme.partial(p))
+        m = an.system_metrics(cfg)
+        assert all(math.isfinite(v) for v in m.per_ue_aoi + m.per_ue_paoi)
+        b = an.aoi_bounds(cfg)
+        assert b.lower <= m.system_aoi <= b.upper
 
     def test_third_denominator_coincidence(self):
         # tx_rate == eff_local + others  (d - u - lo = 0)
@@ -618,24 +697,6 @@ class TestArrayPass:
         print(f"array pass: {differ} of {values} values not bit-equal to the loop")
         assert differ <= values // 1000
 
-    def test_flagged_ue_takes_the_singularity_policy(self):
-        # UE 7 sits on the removable singularity a = u + lo
-        n, p, mu_b = 200, 0.5, 2.0
-        lam_n = tuple(0.002 + 0.00001 * k for k in range(n))
-        lam = math.fsum(lam_n)
-        a = mu_b / p
-        mu_local = [ln + 0.2 for ln in lam_n]
-        mu_local[7] = (a - lam + lam_n[7]) * (1.0 - p)
-        cfg = SystemConfig(n, lam_n, mu_b, 1.8, tuple(mu_local), Scheme.partial(p))
-        rates = derive_rates(cfg)
-        u, lo = rates.eff_local[7], rates.others_gen[7]
-        assert an._near_singular(a, 1.8, u, lo)
-        phi = an._phi_eval(lam_n[7], lo, lam, a, 1.8, u, with_local=True)
-        yw = an._e_yw_queued(lam_n[7], lo, a, phi)
-        got = metrics_by("array", cfg)
-        assert got.per_ue_aoi[7] == an._aoi(lam_n[7], a, 1.8, u, yw)
-        assert got == metrics_by("loop", cfg)
-
     def test_every_ue_flagged_on_the_edge_scheme(self):
         # a == d: every UE is on the singularity
         cfg = SystemConfig(50, tuple(0.01 + 0.0002 * k for k in range(50)), 1.8, 1.8,
@@ -643,14 +704,6 @@ class TestArrayPass:
         got = metrics_by("array", cfg)
         assert all(math.isfinite(v) for v in got.per_ue_aoi)
         assert got == metrics_by("loop", cfg)
-
-    def test_unresolved_singularity_raises(self, monkeypatch):
-        monkeypatch.setattr(an, "SINGULARITY_TOL", 0.0)
-        # a = mu_B / p == d
-        cfg = SystemConfig(50, tuple(0.01 + 0.0002 * k for k in range(50)), 0.9, 1.8,
-                           tuple(0.3 + 0.001 * k for k in range(50)), Scheme.partial(0.5))
-        with pytest.raises(SingularityUnresolved):
-            metrics_by("array", cfg)
 
     @pytest.mark.parametrize("case", ["edge", "tx_at_boundary", "local_at_boundary", "all"])
     def test_unstable_raises_require_stable_message(self, case):

@@ -287,6 +287,18 @@ class TestAnalyticCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_coincident_rates_near_saturation(self, tmp_path, capsys):
+        # mu_B = mu_D on the edge scheme, at transmission utilization
+        # 1 - 5e-7: a removable singularity of the split terms
+        text = ("n_ues = 2\nlambda = 0.5\nmu_b = 1.0000005\nmu_d = 1.0000005\n"
+                "mu_local = 1\nscheme = edge\n")
+        code = cli.main(["analytic", "--config", write(tmp_path, "s.cfg", text)])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in err
+        aoi = float(next(l for l in out.splitlines() if l.startswith("system aoi:")).split()[-1])
+        assert math.isfinite(aoi)
+
     def test_heterogeneous_report_skips_bounds(self, tmp_path, capsys):
         text = ("n_ues = 2\nlambda = 0.1, 0.2\nmu_b = 1.5\nmu_d = 1.8\n"
                 "mu_local = 0.5, 0.6\nscheme = edge\n")
@@ -703,14 +715,14 @@ class TestOptimizeCommand:
         assert row["p_selected"] == row["p_aoi"]
         assert float(row["aoi_gap_ratio"]) <= 0.02
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "2"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "2", "1e-300", "1e-7"])
     def test_resolution_out_of_range_exit_2(self, tmp_path, capsys, value):
         with pytest.raises(SystemExit) as info:
             cli.main(["optimize", "--config", write(tmp_path, "o.cfg", INTERIOR_CFG),
                       "--resolution", value])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert f"--resolution: must lie in (0, 0.5], got {value}\n" in err
+        assert f"--resolution: must lie in [1e-06, 0.5], got {value}\n" in err
         assert "Traceback" not in err
 
     def test_search_values_match_library(self, tmp_path, capsys):

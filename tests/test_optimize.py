@@ -12,7 +12,6 @@ from aoi_mec.model import (
     EmptyStableInterval,
     NotHomogeneous,
     Scheme,
-    SingularityUnresolved,
     SystemConfig,
     check_stability,
     normalize_scheme,
@@ -21,6 +20,7 @@ from aoi_mec import analytic as an
 from aoi_mec.optimize import (
     OptResult,
     _grid_values,
+    _objective,
     compare_schemes,
     search_p,
     stable_p_interval,
@@ -132,6 +132,8 @@ class TestSearchP:
             search_p(cfg, "latency")
         with pytest.raises(ValueError, match="resolution"):
             search_p(cfg, "paoi", resolution=0.0)
+        with pytest.raises(ValueError, match="resolution"):
+            search_p(cfg, "paoi", resolution=1e-7)
 
     def test_unstable_interval_ends_are_skipped_not_counted(self):
         # both interval ends come from active constraints, so neither is
@@ -178,12 +180,15 @@ class TestSearchP:
         assert coarse.best_value == pytest.approx(fine.best_value, rel=1e-3)
 
     @pytest.mark.parametrize("objective", ["aoi", "paoi"])
-    def test_grid_points_near_a_singularity_take_the_policy(self, objective, monkeypatch):
-        # p = 0.75 is on the grid and has a - u - lo = 0; with a zero
-        # tolerance the two-sided evaluation there must refuse
-        monkeypatch.setattr(an, "SINGULARITY_TOL", 0.0)
-        with pytest.raises(SingularityUnresolved):
-            search_p(homog(6, 0.2, 1.5, 1.8, 0.25), objective)
+    def test_grid_point_on_a_removable_singularity(self, objective):
+        # p = 0.75 is on the grid and has a - u - lo = 0; the array grid
+        # evaluates it directly, to the scalar value
+        cfg = homog(6, 0.2, 1.5, 1.8, 0.25)
+        p = np.linspace(0.0, 1.0, 1001)
+        assert p[750] == 0.75
+        values, _ = _grid_values(cfg, p, objective)
+        assert math.isfinite(values[750])
+        assert values[750] == _objective(cfg, objective, 0.75)
 
     def test_deterministic(self):
         cfg = homog(3, 0.2, 1.4, 2.0, 0.6)
