@@ -5,16 +5,16 @@ Library layout:
                  error types, simulation controls (SimParams)
     analytic   - closed-form average AoI / PAoI, bounds, optimal ratio
     simulate   - discrete-event-equivalent tandem FCFS simulator + estimators
-    optimize   - offloading-ratio search and scheme comparison
+    optimize   - offloading-ratio search
     validation - simulation vs closed forms, term by term
     cli        - command-line front end (analytic / sweep / validate / optimize)
 
 `import aoi_mec` loads model and analytic only, which need nothing beyond
 the standard library. The names that need numpy are served on
 first access (PEP 562): Estimate, SimResult and simulate_mec from
-simulate; OptResult, SchemeComparison, stable_p_interval, search_p and
-compare_schemes from optimize; run_validation from validation. So are
-the submodules simulate, optimize and validation themselves.
+simulate; OptResult, stable_p_interval and search_p from optimize;
+run_validation from validation. So are the submodules simulate, optimize
+and validation themselves.
 """
 
 import importlib
@@ -37,7 +37,6 @@ from .model import (
     check_stability,
     derive_rates,
     is_homogeneous,
-    normalize_scheme,
 )
 from .analytic import (
     AoiBounds,
@@ -50,8 +49,7 @@ from .analytic import (
 
 _LAZY = {
     "simulate": ("Estimate", "SimResult", "simulate_mec"),
-    "optimize": ("OptResult", "SchemeComparison", "stable_p_interval",
-                 "search_p", "compare_schemes"),
+    "optimize": ("OptResult", "stable_p_interval", "search_p"),
     "validation": ("run_validation",),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
@@ -77,7 +75,6 @@ __all__ = [
     "derive_rates",
     "check_stability",
     "is_homogeneous",
-    "normalize_scheme",
     "UnstableConfig",
     "NotHomogeneous",
     "InvalidParams",
@@ -95,10 +92,8 @@ __all__ = [
     "DivergenceWarning",
     "simulate_mec",
     "OptResult",
-    "SchemeComparison",
     "stable_p_interval",
     "search_p",
-    "compare_schemes",
     "run_validation",
 ]
 

@@ -12,9 +12,9 @@ at the UE's own local queue):
 
 Y_j is the inter-generation gap and W_k the waiting time at stage k. A
 pass-through stage contributes 0 to every sum: 1/inf == 0, and it has no
-waiting time. system_metrics is these two lines. _e_yw_stages chooses the
-form of each E[Y_j W_k] for one UE, and system_metrics' array pass makes
-the same choice for all UEs at once.
+waiting time. system_metrics is these two lines. _stage_terms is the one
+place that chooses the form of each E[Y_j W_k] from the scheme; it takes
+one UE's rates as floats or all UEs' as numpy arrays.
 
 The PAoI identity is exact for stable M/M/1 stages. The edge-stage term
 E[Y_j W_edge] is exact for any N: the edge queue is the first stage of the
@@ -30,13 +30,12 @@ as mu_B = p mu_D evaluate directly. They, and the local scheme's
 first-stage transmission term, are exact for N = 1 and first-order
 approximations for N > 1.
 
-system_metrics evaluates the UEs in one of two ways, with the same values.
-The per-UE loop runs the formulas on floats, one UE at a time. The array
-pass runs the same functions once, on numpy arrays over all UEs. It is
-taken when there are at least ARRAY_MIN_UES UEs and numpy is already
-loaded. This module never imports numpy itself, so `import aoi_mec` and
-the `analytic` command stay on the standard library, and small N keeps
-the loop, which is faster there.
+system_metrics runs _stage_terms once per UE on floats, or once on numpy
+arrays over all UEs, with the same values. It takes the arrays when there
+are at least ARRAY_MIN_UES UEs and numpy is already loaded. This module
+never imports numpy itself, so `import aoi_mec` and the `analytic`
+command stay on the standard library, and small N keeps the per-UE loop,
+which is faster there.
 
 All functions are pure; heterogeneous per-UE rates are supported wherever
 the underlying formula is stated per UE.
@@ -49,6 +48,9 @@ import sys
 from dataclasses import dataclass
 
 from .model import (
+    EDGE,
+    LOCAL,
+    PARTIAL,
     DerivedRates,
     NotHomogeneous,
     Scheme,
@@ -60,10 +62,10 @@ from .model import (
 )
 
 # Fewest UEs for which system_metrics takes the array pass (when numpy is
-# loaded). Measured on 2 cores, Python 3.11, numpy 2.4: below about 50 UEs
-# the pass costs a flat 38 / 76 / 118 us (local / edge / partial), the loop
-# 2.1 / 4.3 / 5.6 us per UE. They break even at 18 / 18 / 21 UEs.
-ARRAY_MIN_UES = 20
+# loaded). Measured on 2 cores, Python 3.11, numpy 2.4: below about 60 UEs
+# the pass costs a flat 37 / 75 / 122 us (local / edge / partial), the loop
+# 1.2 / 2.5 / 4.0 us per UE. They break even at 27-28 / 28-30 / 30-31 UEs.
+ARRAY_MIN_UES = 30
 
 
 @dataclass(frozen=True)
@@ -95,18 +97,16 @@ class PhiTerms:
 class AoiBounds:
     """Closed-form bracket on the system average AoI (homogeneous UEs).
 
-    upper is the system average peak AoI (including the 1/lambda_h term);
-    lower = upper - gap exactly; gap_ratio = gap / upper.
-    upper_excl_gen is a diagnostic variant of the upper bound without the
-    1/lambda_h term (the two conventions differ in the literature; the
-    inclusive one is what the waiting-time correlation argument proves).
+    upper is the system average peak AoI (including the 1/lambda_h term).
+    lower is the AoI line with the paper's lower-bound terms
+    (e_yw_lower_bounds) in place of the E[Y_j W] terms; gap = upper - lower
+    and lower = upper - gap exactly; gap_ratio = gap / upper.
     """
 
     lower: float
     upper: float
     gap: float
     gap_ratio: float
-    upper_excl_gen: float
 
 
 @dataclass(frozen=True)
@@ -170,11 +170,15 @@ def _e_yw_first_order(ln, lo, lam, a):
     Exact for lo = 0 (where it equals _e_yw_first_stage) and too low for
     lo > 0. Kept for the local scheme's transmission stage: the partial
     scheme's transmission terms tend to this form as p -> 0, so the exact
-    form there alone would make the AoI jump at p = 0.
+    form there alone would make the AoI jump at p = 0. It is also the
+    paper's lower bound on the edge and transmission terms.
+
+    The published lam/(ln a c) + ln lo/(a x^3) - 1/x^2, with c = a - lam
+    and x = a - lo, written as positive terms and as chains of ratios (see
+    the split terms below).
     """
-    return (lam / (ln * a * (a - lam))
-            + ln * lo / (a * (a - lo) ** 3)
-            - 1.0 / (a - lo) ** 2)
+    c, x = a - lam, a - lo
+    return lo / ln * c / a / x / x + lam / a / c / x + ln / a * lo / x / x / x
 
 
 # The four split terms. Their published forms divide by a - d, a - u - lo
@@ -256,14 +260,19 @@ def _phi_raw(ln, lo, lam, a, d, u, with_local):
     return (bjd, ljd, _phi_bju_raw(ln, lo, lam, a, d, u), _phi_lju_raw(ln, lo, lam, a, d, u))
 
 
+def _ue(rates: DerivedRates, ue_index: int):
+    """(ln, lo, lam, a, d, u) of one UE: the rate arguments of _stage_terms."""
+    return (rates.gen_rates[ue_index], rates.others_gen[ue_index], rates.total_gen,
+            rates.eff_edge, rates.tx_rate, rates.eff_local[ue_index])
+
+
 def phi_terms_partial(rates: DerivedRates, ue_index: int) -> PhiTerms:
     """Correlation-term contributions for the partial scheme (0 < p < 1)."""
     a = rates.eff_edge
     u = rates.eff_local[ue_index]
     if not (math.isfinite(a) and math.isfinite(u)):
         raise ValueError("partial-scheme correlation terms need 0 < p < 1")
-    return PhiTerms(*_phi_raw(rates.gen_rate(ue_index), rates.others_gen[ue_index],
-                              rates.total_gen, a, rates.tx_rate, u, with_local=True))
+    return PhiTerms(*_phi_raw(*_ue(rates, ue_index), with_local=True))
 
 
 def phi_terms_edge(rates: DerivedRates, ue_index: int) -> PhiTerms:
@@ -271,9 +280,7 @@ def phi_terms_edge(rates: DerivedRates, ue_index: int) -> PhiTerms:
     a = rates.eff_edge
     if not math.isfinite(a):
         raise ValueError("edge-scheme correlation terms need a finite edge rate")
-    return PhiTerms(*_phi_raw(rates.gen_rate(ue_index), rates.others_gen[ue_index],
-                              rates.total_gen, a, rates.tx_rate, math.inf,
-                              with_local=False))
+    return PhiTerms(*_phi_raw(*_ue(rates, ue_index), with_local=False))
 
 
 # ---------------------------------------------------------------------------
@@ -282,47 +289,46 @@ def phi_terms_edge(rates: DerivedRates, ue_index: int) -> PhiTerms:
 # ---------------------------------------------------------------------------
 
 
-def _e_yw_stages(rates: DerivedRates, ue_index: int) -> tuple[float, float, float]:
-    """(E[Y_j W_edge], E[Y_j W_tx], E[Y_j W_local]) of one UE.
+def _kind(p, a):
+    """The scheme whose stage forms apply at ratio p and edge rate a.
 
-    Picks each stage's form, as _per_ue_array does over all UEs. The
-    scheme is read from the pass-through stage (rate +inf), whose entry
+    Partial(0) and Partial(1) take the local and edge forms, and so does
+    a ratio small enough that mu_B / p overflows to +inf.
+    """
+    return LOCAL if math.isinf(a) else EDGE if p == 1.0 else PARTIAL
+
+
+def _stage_terms(kind, ln, lo, lam, a, d, u, sqrt=math.sqrt):
+    """(E[Y_j W_edge], E[Y_j W_tx], E[Y_j W_local]) under scheme kind.
+
+    The one place that picks each stage's form from the scheme. A
+    pass-through stage's entry is 0. The rates may be numpy arrays over
+    the UEs when sqrt is numpy's.
+    """
+    if kind == LOCAL:
+        # The transmission queue is the first stage; see _e_yw_first_order
+        # for why it does not use _e_yw_first_stage. The local-stage term
+        # is the published ln (d + v) / (d v (e + u)^2)
+        # + ln e (y + u) / (u^2 y v (e + u)), as chains of ratios over the
+        # positive differences e = d - lam, v = u - ln and y = d - lo.
+        e, v, y = d - lam, u - ln, d - lo
+        local = (ln / d * (d + v) / v / (e + u) / (e + u)
+                 + ln / u * e / u * (y + u) / y / v / (e + u))
+        return (0.0, _e_yw_first_order(ln, lo, lam, d), local)
+    bjd, ljd, bju, lju = _phi_raw(ln, lo, lam, a, d, u, kind == PARTIAL)
+    return (_e_yw_first_stage(ln, lo, a, sqrt), bjd + ljd, bju + lju)
+
+
+def _lower_terms(ln, lo, lam, a, d, u):
+    """The paper's lower bounds on the three entries of _stage_terms.
+
+    Each lets the stages upstream of its own become instantaneous: the
+    first-order term at the edge and transmission stages, and
+    ln / (u^2 (u - ln)) at the local stage. A pass-through stage's entry
     is 0.
     """
-    a = rates.eff_edge
-    ln = rates.gen_rate(ue_index)
-    lo = rates.others_gen[ue_index]
-    if math.isinf(a):
-        return _e_yw_local_scheme(ln, lo, rates.total_gen, rates.tx_rate,
-                                  rates.eff_local[ue_index])
-    if math.isinf(rates.eff_local[ue_index]):
-        phi = phi_terms_edge(rates, ue_index)
-    else:
-        phi = phi_terms_partial(rates, ue_index)
-    return _e_yw_queued(ln, lo, a, phi)
-
-
-def _e_yw_local_scheme(ln, lo, lam, d, u):
-    """The stage terms of _e_yw_stages for the local scheme (no edge stage).
-
-    The transmission queue is the first stage; see _e_yw_first_order for
-    why it does not use _e_yw_first_stage. The rates may be numpy arrays.
-    """
-    local = (ln * (d + u - ln) / (d * (u - ln) * (d + u - lam) ** 2)
-             + ln * (d - lam) * (d + u - lo)
-             / (u ** 2 * (d - lo) * (u - ln) * (d + u - lam)))
-    return (0.0, _e_yw_first_order(ln, lo, lam, d), local)
-
-
-def _e_yw_queued(ln, lo, a, phi: PhiTerms, sqrt=math.sqrt):
-    """The stage terms of _e_yw_stages when the edge stage is a queue.
-
-    The exact first stage, then the transmission and local split pairs.
-    The rates and phi's fields may be numpy arrays when sqrt is numpy's.
-    """
-    return (_e_yw_first_stage(ln, lo, a, sqrt),
-            phi.phi_bjd + phi.phi_ljd,
-            phi.phi_bju + phi.phi_lju)
+    edge = 0.0 if math.isinf(a) else _e_yw_first_order(ln, lo, lam, a)
+    return (edge, _e_yw_first_order(ln, lo, lam, d), ln / u / u / (u - ln))
 
 
 def e_yw(cfg: SystemConfig, ue_index: int) -> tuple[float, float, float]:
@@ -331,24 +337,19 @@ def e_yw(cfg: SystemConfig, ue_index: int) -> tuple[float, float, float]:
     A pass-through stage's entry is 0. The order is that of
     e_yw_lower_bounds.
     """
-    return _e_yw_stages(derive_rates(cfg), ue_index)
+    rates = derive_rates(cfg)
+    return _stage_terms(_kind(cfg.scheme.p, rates.eff_edge), *_ue(rates, ue_index))
 
 
 def e_yw_lower_bounds(cfg: SystemConfig, ue_index: int) -> tuple[float, float, float]:
-    """Component lower bounds on (E[Y W_edge], E[Y W_tx], E[Y W_local]).
+    """The paper's lower bounds on (E[Y W_edge], E[Y W_tx], E[Y W_local]).
 
-    The edge-stage entry is the exact expectation itself. The other two
-    are bounded from below by letting the upstream stages become
-    instantaneous; they bound the closed forms in e_yw, which are exact
-    for N = 1 and first-order approximations for N > 1.
+    These are the terms aoi_bounds' lower bound is built from. The
+    edge-stage entry lies below the exact term of e_yw; the other two
+    bound its closed forms, which are exact for N = 1 and first-order
+    approximations for N > 1.
     """
-    rates = derive_rates(cfg)
-    ln = cfg.gen_rates[ue_index]
-    u = rates.eff_local[ue_index]
-    b_edge = _e_yw_stages(rates, ue_index)[0]
-    b_tx = _e_yw_first_order(ln, rates.others_gen[ue_index], rates.total_gen, rates.tx_rate)
-    b_local = 0.0 if math.isinf(u) else 1.0 / (u * (u - ln)) - 1.0 / u ** 2
-    return (b_edge, b_tx, b_local)
+    return _lower_terms(*_ue(derive_rates(cfg), ue_index))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ def e_yw_lower_bounds(cfg: SystemConfig, ue_index: int) -> tuple[float, float, f
 def _aoi(ln, a, d, u, yw):
     """AoI_n = 1/lambda_n + sum_k 1/mu_k + lambda_n sum_k E[Y_j W_k].
 
-    yw is the (edge, tx, local) triple of _e_yw_stages; a pass-through
+    yw is the (edge, tx, local) triple of _stage_terms; a pass-through
     adds 0.
     """
     yw_edge, yw_tx, yw_local = yw
@@ -377,14 +378,40 @@ def _paoi(ln, lam, a, d, u):
 def system_metrics(cfg: SystemConfig) -> AoiMetrics:
     """Per-UE and system-averaged AoI / peak AoI for any scheme.
 
-    One array pass over the UEs when there are at least ARRAY_MIN_UES of
-    them and numpy is already loaded; the per-UE loop otherwise. Both give
-    the same values.
+    The rates are derived as derive_rates does and tested with
+    check_stability's expressions; only a config that fails the test goes
+    to require_stable, which raises with its usual message. _stage_terms
+    then runs once on numpy arrays over the UEs when there are at least
+    ARRAY_MIN_UES of them and numpy is already loaded, and once per UE
+    otherwise. Both give the same values.
     """
-    if cfg.num_ues >= ARRAY_MIN_UES and "numpy" in sys.modules:
-        aoi, paoi = _per_ue_array(cfg)
+    p = cfg.scheme.p
+    lam = math.fsum(cfg.gen_rates)
+    a = math.inf if p == 0.0 else cfg.edge_rate / p
+    d = cfg.tx_rate
+    kind = _kind(p, a)
+    np = sys.modules.get("numpy") if cfg.num_ues >= ARRAY_MIN_UES else None
+    if np is None:
+        ln = cfg.gen_rates
+        u = ((math.inf,) * cfg.num_ues if p == 1.0
+             else tuple(mu / (1.0 - p) for mu in cfg.local_rates))
+        local_ok = all(x < v for x, v in zip(ln, u))
     else:
-        aoi, paoi = _per_ue_loop(cfg)
+        ln = np.array(cfg.gen_rates)
+        u = (np.full(cfg.num_ues, math.inf) if p == 1.0
+             else np.array(cfg.local_rates) / (1.0 - p))
+        local_ok = bool(np.all(ln < u))
+    if not (lam < a and lam < d and local_ok):
+        require_stable(cfg)
+
+    def per_ue(ln, u, sqrt=math.sqrt):
+        yw = _stage_terms(kind, ln, lam - ln, lam, a, d, u, sqrt)
+        return _aoi(ln, a, d, u, yw), _paoi(ln, lam, a, d, u)
+
+    if np is None:
+        aoi, paoi = zip(*map(per_ue, ln, u))
+    else:
+        aoi, paoi = (x.tolist() for x in per_ue(ln, u, np.sqrt))
     return AoiMetrics(
         per_ue_aoi=tuple(aoi),
         per_ue_paoi=tuple(paoi),
@@ -393,79 +420,20 @@ def system_metrics(cfg: SystemConfig) -> AoiMetrics:
     )
 
 
-def _per_ue_loop(cfg: SystemConfig) -> tuple[list[float], list[float]]:
-    """Per-UE AoI and PAoI lists, one UE at a time."""
-    require_stable(cfg)
-    rates = derive_rates(cfg)
-    lam = rates.total_gen
-    a = rates.eff_edge
-    d = rates.tx_rate
-    aoi, paoi = [], []
-    for n, (ln, u) in enumerate(zip(cfg.gen_rates, rates.eff_local)):
-        aoi.append(_aoi(ln, a, d, u, _e_yw_stages(rates, n)))
-        paoi.append(_paoi(ln, lam, a, d, u))
-    return aoi, paoi
-
-
-def _per_ue_array(cfg: SystemConfig) -> tuple[list[float], list[float]]:
-    """_per_ue_loop as one pass over numpy arrays of the UEs.
-
-    The rates are derived as derive_rates does and tested with
-    check_stability's expressions; require_stable raises with its usual
-    message.
-    """
-    np = sys.modules["numpy"]
-    ln = np.array(cfg.gen_rates)
-    lam = math.fsum(cfg.gen_rates)
-    lo = lam - ln
-    p = cfg.scheme.p
-    a = math.inf if p == 0.0 else cfg.edge_rate / p
-    d = cfg.tx_rate
-    if p == 1.0:
-        u = np.full(cfg.num_ues, math.inf)
-    else:
-        u = np.array(cfg.local_rates) / (1.0 - p)
-    if not (lam < a and lam < d and bool(np.all(ln < u))):
-        require_stable(cfg)
-    if math.isinf(a):
-        yw = _e_yw_local_scheme(ln, lo, lam, d, u)
-    else:
-        phi = PhiTerms(*_phi_raw(ln, lo, lam, a, d, u, p < 1.0))
-        yw = _e_yw_queued(ln, lo, a, phi, np.sqrt)
-    return (_aoi(ln, a, d, u, yw).tolist(), _paoi(ln, lam, a, d, u).tolist())
-
-
 # ---------------------------------------------------------------------------
 # Bounds and the closed-form optimal offloading ratio (homogeneous UEs).
 # ---------------------------------------------------------------------------
 
 
 def aoi_bounds(cfg: SystemConfig) -> AoiBounds:
-    """Bracket the system average AoI between PAoI and PAoI minus a gap."""
+    """Bracket the system average AoI between PAoI and the paper's lower bound."""
     if not is_homogeneous(cfg):
         raise NotHomogeneous("AoI bounds are defined for homogeneous UEs only")
     require_stable(cfg)
-    rates = derive_rates(cfg)
-    lh = cfg.gen_rates[0]
-    lo = rates.others_gen[0]
-    lam = rates.total_gen
-    a = rates.eff_edge
-    d = cfg.tx_rate
-    u = rates.eff_local[0]
-    # Effective-rate limits make the corresponding terms vanish at p = 0 / 1.
-    omega = _paoi(lh, lam, a, d, u)
-    gap = (lh / (a - lo) ** 2
-           + lh / (d - lo) ** 2
-           + lh / u ** 2
-           - lh ** 2 * lo / (a * (a - lo) ** 3)
-           - lh ** 2 * lo / (d * (d - lo) ** 3))
-    return AoiBounds(
-        lower=omega - gap,
-        upper=omega,
-        gap=gap,
-        gap_ratio=gap / omega,
-        upper_excl_gen=omega - 1.0 / lh,
-    )
+    lh, lo, lam, a, d, u = _ue(derive_rates(cfg), 0)
+    upper = _paoi(lh, lam, a, d, u)
+    gap = upper - _aoi(lh, a, d, u, _lower_terms(lh, lo, lam, a, d, u))
+    return AoiBounds(lower=upper - gap, upper=upper, gap=gap, gap_ratio=gap / upper)
 
 
 def p_opt_paoi(cfg: SystemConfig) -> POptResult:

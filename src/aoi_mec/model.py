@@ -259,16 +259,6 @@ def require_stable(cfg: SystemConfig) -> StabilityReport:
     return report
 
 
-def normalize_scheme(cfg: SystemConfig) -> SystemConfig:
-    """Map Partial(0) -> Local and Partial(1) -> Edge; otherwise identity."""
-    if cfg.scheme.kind == PARTIAL:
-        if cfg.scheme.p == 0.0:
-            return cfg.with_scheme(Scheme.local())
-        if cfg.scheme.p == 1.0:
-            return cfg.with_scheme(Scheme.edge())
-    return cfg
-
-
 @dataclass(frozen=True)
 class SimParams:
     """Simulation controls (the simulator is aoi_mec.simulate).

@@ -1,4 +1,4 @@
-"""Offloading-ratio optimization and scheme comparison.
+"""Offloading-ratio optimization.
 
 The peak-AoI-minimizing ratio has a closed form (analytic.p_opt_paoi);
 the AoI-minimizing ratio does not, so the canonical method here is a
@@ -24,11 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    PARTIAL,
     EmptyStableInterval,
     NotHomogeneous,
     Scheme,
     SystemConfig,
-    UnstableConfig,
     is_homogeneous,
 )
 from . import analytic
@@ -64,24 +64,6 @@ class OptResult:
     method: str
     stable_interval: tuple[float, float]
     evaluations: int
-
-
-@dataclass(frozen=True)
-class SchemeComparison:
-    """Analytic metrics of the three schemes on one parameter set.
-
-    partial is evaluated at the closed-form peak-AoI-optimal ratio
-    partial_p. Unstable schemes carry infinite metrics and are never
-    labeled best. best_aoi / best_paoi are in {"local", "edge",
-    "partial"}.
-    """
-
-    local: analytic.AoiMetrics
-    edge: analytic.AoiMetrics
-    partial: analytic.AoiMetrics
-    partial_p: float
-    best_aoi: str
-    best_paoi: str
 
 
 def stable_p_interval(cfg: SystemConfig) -> Optional[tuple[float, float]]:
@@ -142,8 +124,8 @@ def _grid_values(cfg: SystemConfig, p: np.ndarray,
     if objective == "paoi":
         x = analytic._paoi(ln, lam, a, d, u)
     else:
-        phi = analytic.PhiTerms(*analytic._phi_raw(ln, lo, lam, a, d, u, True))
-        x = analytic._aoi(ln, a, d, u, analytic._e_yw_queued(ln, lo, a, phi, np.sqrt))
+        yw = analytic._stage_terms(PARTIAL, ln, lo, lam, a, d, u, np.sqrt)
+        x = analytic._aoi(ln, a, d, u, yw)
     values = np.full(len(p), np.nan)
     # the N equal UEs: N * x rounds the exact sum once, as math.fsum does
     values[fast] = (cfg.num_ues * x) / cfg.num_ues
@@ -252,41 +234,3 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
         evaluations=evals,
     )
 
-
-def _infinite_metrics(n: int) -> analytic.AoiMetrics:
-    return analytic.AoiMetrics(
-        per_ue_aoi=(math.inf,) * n,
-        per_ue_paoi=(math.inf,) * n,
-        system_aoi=math.inf,
-        system_paoi=math.inf,
-    )
-
-
-def compare_schemes(cfg: SystemConfig) -> SchemeComparison:
-    """Local vs Edge vs Partial(peak-AoI-optimal p), analytic metrics.
-
-    Schemes whose queues cannot be stable come back with infinite
-    metrics and never win a label.
-    """
-    opt = analytic.p_opt_paoi(cfg)  # also enforces homogeneity
-    results = {}
-    schemes = {
-        "local": Scheme.local(),
-        "edge": Scheme.edge(),
-        "partial": Scheme.partial(opt.p),
-    }
-    for name, scheme in schemes.items():
-        try:
-            results[name] = analytic.system_metrics(cfg.with_scheme(scheme))
-        except UnstableConfig:
-            results[name] = _infinite_metrics(cfg.num_ues)
-    best_aoi = min(results, key=lambda k: results[k].system_aoi)
-    best_paoi = min(results, key=lambda k: results[k].system_paoi)
-    return SchemeComparison(
-        local=results["local"],
-        edge=results["edge"],
-        partial=results["partial"],
-        partial_p=opt.p,
-        best_aoi=best_aoi,
-        best_paoi=best_paoi,
-    )

@@ -77,8 +77,9 @@ def run_validation(cfg: SystemConfig, params: SimParams) -> ValidationReport:
     ]
     corr = result.correlations
     rates = derive_rates(cfg)
+    kind = analytic._kind(cfg.scheme.p, rates.eff_edge)
     for n in range(cfg.num_ues):
-        yw_edge, yw_tx, yw_local = analytic._e_yw_stages(rates, n)
+        yw_edge, yw_tx, yw_local = analytic._stage_terms(kind, *analytic._ue(rates, n))
         rows.append(_compare(f"yw_edge[{n}]", yw_edge, corr.yw_edge[n], bound))
         rows.append(_compare(f"yw_tx[{n}]", yw_tx, corr.yw_tx[n], bound))
         rows.append(_compare(f"yw_local[{n}]", yw_local, corr.yw_local[n], bound))

@@ -32,7 +32,6 @@ from aoi_mec.model import (
     SystemConfig,
     check_stability,
     derive_rates,
-    normalize_scheme,
 )
 from aoi_mec.simulate import SimParams, simulate_many, simulate_mec
 
@@ -52,7 +51,7 @@ def _ref_cfg(lambda_h, p):
 
 
 def _max_util(cfg):
-    rates = derive_rates(normalize_scheme(cfg))
+    rates = derive_rates(cfg)
     utils = [rates.total_gen / cfg.tx_rate]
     if math.isfinite(rates.eff_edge):
         utils.append(rates.total_gen / rates.eff_edge)
@@ -180,7 +179,7 @@ def _draw_phi_configs():
 
 
 def _phi_expected(cfg, terms):
-    rates = derive_rates(normalize_scheme(cfg))
+    rates = derive_rates(cfg)
     per_stage = []
     for name in terms:
         if cfg.scheme.kind == "edge":
@@ -309,10 +308,10 @@ def test_criterion_05_p_opt_matches_grid_argmin():
         seen[popt.branch] += 1
         lo, hi = interval
         grid = [float(p) for p in np.linspace(lo, hi, int(math.ceil((hi - lo) / 1e-3)) + 1)
-                if check_stability(normalize_scheme(cfg.with_scheme(Scheme.partial(float(p))))).stable]
+                if check_stability(cfg.with_scheme(Scheme.partial(float(p)))).stable]
 
         def paoi_at(p):
-            at_p = normalize_scheme(cfg.with_scheme(Scheme.partial(p)))
+            at_p = cfg.with_scheme(Scheme.partial(p))
             return analytic.system_metrics(at_p).system_paoi
 
         values = [paoi_at(p) for p in grid]
@@ -356,7 +355,7 @@ def test_criterion_06_paoi_optimum_near_aoi_optimum():
             if not popt.stable:
                 bad.append("N=%d lambda_h=%.2f: closed-form optimum unstable" % (n, lh))
                 continue
-            at_popt = normalize_scheme(cfg.with_scheme(Scheme.partial(popt.p)))
+            at_popt = cfg.with_scheme(Scheme.partial(popt.p))
             aoi_at_popt = analytic.system_metrics(at_popt).system_aoi
             gap = (aoi_at_popt - best_aoi.best_value) / best_aoi.best_value
             worst = max(worst, gap)
@@ -487,7 +486,7 @@ def test_criterion_10_statistical_structure():
     corr = res.correlations
     problems = []
 
-    rates = derive_rates(normalize_scheme(cfg))
+    rates = derive_rates(cfg)
     alpha = rates.others_gen[0] / rates.eff_edge
     hist = np.array(corr.edge_others_hist_own0[0], dtype=float)
     total = hist.sum()

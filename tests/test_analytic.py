@@ -15,13 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aoi_mec.model import (
+    LOCAL,
     NotHomogeneous,
     Scheme,
     SystemConfig,
     UnstableConfig,
     check_stability,
     derive_rates,
-    normalize_scheme,
     require_stable,
 )
 from aoi_mec import analytic as an
@@ -82,7 +82,6 @@ class TestWorkedValues:
         assert b.upper == pytest.approx(12.222222, rel=1e-6)
         assert b.gap == pytest.approx(0.155256, rel=1e-5)
         assert b.lower == pytest.approx(12.066966, rel=1e-6)
-        assert b.upper_excl_gen == pytest.approx(12.222222 - 10.0, rel=1e-5)
 
     def test_p_opt_interior_worked(self):
         # (sqrt(0.375) + 0.2 - 0.25) / ((1 + 6*sqrt(1/6)) * 0.2)
@@ -276,6 +275,17 @@ class TestFirstStageTerm:
         assert an.e_yw(cfg, 0)[0] == pytest.approx(
             lam / (a ** 2 * (a - lam)), rel=1e-12)
 
+    @given(cfg=stable_partial)
+    @settings(max_examples=200, deadline=None)
+    def test_first_order_lower_bound_lies_below_exact(self, cfg):
+        # the edge entry of e_yw_lower_bounds, the paper's first-order
+        # term, is the exact term for one UE and below it for more
+        low, exact = an.e_yw_lower_bounds(cfg, 0)[0], an.e_yw(cfg, 0)[0]
+        if cfg.num_ues == 1:
+            assert low == pytest.approx(exact, rel=1e-12)
+        else:
+            assert low <= exact
+
 
 # ---------------------------------------------------------------------------
 # Correlation terms.
@@ -399,6 +409,61 @@ class TestSplitTermsExact:
         assert worst < 1e-14
 
 
+def published_local_scheme(ln, lo, a, d, u):
+    """The first-order term at rate a and the local scheme's local-stage
+    term in their published forms, at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        ln, lo, a, d, u = (mp.mpf(v) for v in (ln, lo, a, d, u))
+        lam = ln + lo
+        first = lam / (ln * a * (a - lam)) + ln * lo / (a * (a - lo) ** 3) - 1 / (a - lo) ** 2
+        local = (ln * (d + u - ln) / (d * (u - ln) * (d + u - lam) ** 2)
+                 + ln * (d - lam) * (d + u - lo) / (u ** 2 * (d - lo) * (u - ln) * (d + u - lam)))
+        return first, local
+
+
+class TestLocalSchemeTerms:
+    def test_match_published_forms_at_any_rate_scale(self):
+        # rates on a 2^-30 grid times a power of two, so that lam = ln + lo
+        # and the scaling are exact; utilizations up to 0.9999, scales
+        # from 2^-450 to 2^450 (about 1e-135 to 1e135), where every value
+        # is inside the float range
+        pytest.importorskip("mpmath")
+        rng = random.Random(20261020)
+
+        def dyadic(v):
+            return round(v * 2 ** 30) / 2 ** 30
+
+        worst = 0.0
+        for _ in range(300):
+            ln = dyadic(10.0 ** rng.uniform(-4.0, 0.0))
+            lo = dyadic(rng.choice([0.0, 0.01, 1.0, 10.0]) * rng.uniform(0.5, 2.0))
+            lam = ln + lo
+            a, d = (dyadic(lam * (1.0 + 10.0 ** rng.uniform(-4.0, 0.5))) for _ in "ad")
+            u = dyadic(ln * (1.0 + 10.0 ** rng.uniform(-4.0, 1.0)))
+            s = 2.0 ** rng.randint(-450, 450)
+            ln, lo, lam, a, d, u = (v * s for v in (ln, lo, lam, a, d, u))
+            got = (an._e_yw_first_order(ln, lo, lam, a),
+                   an._stage_terms(LOCAL, ln, lo, lam, math.inf, d, u)[2])
+            for g, w in zip(got, published_local_scheme(ln, lo, a, d, u)):
+                worst = max(worst, float(abs((g - w) / w)))
+        assert worst < 1e-14
+
+    @pytest.mark.parametrize("scale", [1e65, 1e-65])
+    @pytest.mark.parametrize("scheme", [Scheme.local(), Scheme.edge(), Scheme.partial(0.5)])
+    def test_values_scale_with_the_rates(self, scheme, scale):
+        # every rate times s divides every time by s; the README config
+        base = homog(3, 0.05, 1.5, 1.8, 0.25, scheme)
+        scaled = homog(3, 0.05 * scale, 1.5 * scale, 1.8 * scale, 0.25 * scale, scheme)
+        b, bs = an.aoi_bounds(base), an.aoi_bounds(scaled)
+        assert bs.lower * scale == pytest.approx(b.lower, rel=1e-12)
+        assert bs.upper * scale == pytest.approx(b.upper, rel=1e-12)
+        for path in ("loop", "array"):
+            m, ms = metrics_by(path, base), metrics_by(path, scaled)
+            assert ms.system_aoi * scale == pytest.approx(m.system_aoi, rel=1e-12), path
+            assert ms.system_paoi * scale == pytest.approx(m.system_paoi, rel=1e-12), path
+
+
 class TestSingularityPolicy:
     def test_exact_coincidence_matches_perturbed(self):
         # eff_edge == tx_rate exactly (mu_B = p * mu_D)
@@ -464,7 +529,6 @@ class TestBounds:
         assert b.lower == b.upper - b.gap  # exact float identity
         assert 0.0 <= b.gap_ratio < 1.0
         assert b.lower <= b.upper
-        assert b.upper_excl_gen == b.upper - 1.0 / 0.25
 
     def test_bracket_on_named_config(self):
         cfg = homog(4, 0.25, 1.5, 2.0, 0.6, Scheme.partial(0.5))
@@ -484,12 +548,12 @@ class TestBounds:
         # local-scheme evaluation path
         cfg0 = homog(4, 0.2, 1.5, 2.0, 0.6, Scheme.partial(0.0))
         b0 = an.aoi_bounds(cfg0)
-        aoi0 = an.system_metrics(normalize_scheme(cfg0)).per_ue_aoi[0]
+        aoi0 = an.system_metrics(cfg0.with_scheme(Scheme.local())).per_ue_aoi[0]
         assert b0.lower - 1e-12 <= aoi0 <= b0.upper + 1e-12
         # p=1: local terms vanish
         cfg1 = homog(4, 0.2, 1.5, 2.0, 0.6, Scheme.partial(1.0))
         b1 = an.aoi_bounds(cfg1)
-        aoi1 = an.system_metrics(normalize_scheme(cfg1)).per_ue_aoi[0]
+        aoi1 = an.system_metrics(cfg1.with_scheme(Scheme.edge())).per_ue_aoi[0]
         assert b1.lower - 1e-12 <= aoi1 <= b1.upper + 1e-12
 
     def test_gap_ratio_vanishes_for_rare_updates(self):
@@ -552,11 +616,10 @@ class TestPOptPaoi:
     def test_argmin_against_coarse_grid(self, cfg):
         res = an.p_opt_paoi(cfg)
         assert res.stable
-        best = an.system_metrics(
-            normalize_scheme(cfg.with_scheme(Scheme.partial(res.p)))).system_paoi
+        best = an.system_metrics(cfg.with_scheme(Scheme.partial(res.p))).system_paoi
         for k in range(101):
             p = k / 100.0
-            c = normalize_scheme(cfg.with_scheme(Scheme.partial(p)))
+            c = cfg.with_scheme(Scheme.partial(p))
             if not check_stability(c).stable:
                 continue
             assert best <= an.system_metrics(c).system_paoi + 1e-9
@@ -602,11 +665,11 @@ class TestSystemMetrics:
     def test_boundary_partial_dispatches_to_pure_schemes(self):
         cfg = homog(3, 0.1, 1.0, 2.0, 0.5, Scheme.partial(0.0))
         m = an.system_metrics(cfg)
-        loc = an.system_metrics(normalize_scheme(cfg)).per_ue_aoi[0]
+        loc = an.system_metrics(cfg.with_scheme(Scheme.local())).per_ue_aoi[0]
         assert m.per_ue_aoi[0] == pytest.approx(loc, rel=1e-15)
         cfg1 = homog(3, 0.1, 1.0, 2.0, 0.5, Scheme.partial(1.0))
         m1 = an.system_metrics(cfg1)
-        edg = an.system_metrics(normalize_scheme(cfg1)).per_ue_aoi[0]
+        edg = an.system_metrics(cfg1.with_scheme(Scheme.edge())).per_ue_aoi[0]
         assert m1.per_ue_aoi[0] == pytest.approx(edg, rel=1e-15)
 
     def test_unstable_raises(self):
@@ -630,8 +693,9 @@ class TestSystemMetrics:
 
     @pytest.mark.parametrize("scheme", [Scheme.local(), Scheme.edge(), Scheme.partial(0.5)])
     def test_rates_derived_and_checked_once(self, scheme, monkeypatch):
-        # a per-UE re-derivation makes system_metrics O(N^2) in time; the
-        # array pass derives the rates and tests stability inline
+        # a per-UE re-derivation makes system_metrics O(N^2) in time; both
+        # paths derive the rates and test stability inline, and a stable
+        # config never reaches require_stable
         calls = {"derive_rates": 0, "require_stable": 0}
         for name in calls:
             def counted(cfg, _real=getattr(an, name), _name=name):
@@ -641,10 +705,10 @@ class TestSystemMetrics:
         n = 200
         cfg = SystemConfig(n, tuple(0.001 * (1 + k / n) for k in range(n)), 1.5, 1.8,
                            tuple(0.25 + 0.001 * k for k in range(n)), scheme)
-        for path, want in (("loop", 1), ("array", 0)):
+        for path in ("loop", "array"):
             calls.update(derive_rates=0, require_stable=0)
             metrics_by(path, cfg)
-            assert calls == {"derive_rates": want, "require_stable": want}, path
+            assert calls == {"derive_rates": 0, "require_stable": 0}, path
 
     def test_deterministic_across_calls(self):
         cfg = homog(6, 0.1, 1.5, 1.8, 0.25, Scheme.partial(0.7))

@@ -526,16 +526,17 @@ class TestLazyImports:
 
     def test_analytic_command_prints_the_array_pass_values_without_numpy(self, tmp_path):
         # a cold command keeps the per-UE loop; with numpy loaded the same
-        # config takes system_metrics' array pass
+        # config takes system_metrics' array pass: one stage-term call on
+        # arrays in place of one call per UE on floats
         n = analytic.ARRAY_MIN_UES + 5
         lam = ", ".join(repr(0.01 + 0.0007 * k) for k in range(n))
         mu = ", ".join(repr(0.2 + 0.003 * k) for k in range(n))
         path = write(tmp_path, "h.cfg", f"n_ues = {n}\nlambda = {lam}\nmu_b = 1.5\n"
                                         f"mu_d = 1.8\nmu_local = {mu}\nscheme = partial\np = 0.4\n")
-        run = ("from aoi_mec import analytic, cli; passes = []; real = analytic._per_ue_array; "
-               "analytic._per_ue_array = lambda *a: passes.append(1) or real(*a); "
+        run = ("from aoi_mec import analytic, cli; passes = []; real = analytic._stage_terms; "
+               "analytic._stage_terms = lambda *a: passes.append(type(a[1]).__name__) or real(*a); "
                f"code = cli.main(['analytic', '--config', {path!r}]); "
-               f"print(code, {HEAVY}, len(passes))")
+               f"print(code, {HEAVY}, passes.count('ndarray'))")
         cold = run_python("-c", "import sys; " + run)
         warm = run_python("-c", "import sys, numpy; " + run)
         assert cold.returncode == 0, cold.stderr
@@ -569,13 +570,13 @@ class TestValidateCommand:
         assert "result: PASS" in out
 
     def test_corrupted_constant_fails_and_is_named(self, tmp_path, capsys, monkeypatch):
-        real = analytic._e_yw_stages
+        real = analytic._stage_terms
 
-        def corrupted(rates, n):
-            edge, tx, local = real(rates, n)
+        def corrupted(*args):
+            edge, tx, local = real(*args)
             return edge, tx + 0.5, local
 
-        monkeypatch.setattr("aoi_mec.analytic._e_yw_stages", corrupted)
+        monkeypatch.setattr("aoi_mec.analytic._stage_terms", corrupted)
         # 10 replications: the bound is 4.85 standard errors, against 13.3 at 4
         code = cli.main(["validate", "--config", write(tmp_path, "v.cfg", LOW_UTIL_CFG),
                          "--packets", "5000", "--reps", "10", "--seed", "21"])
@@ -619,13 +620,17 @@ class TestRunValidation:
         return SystemConfig.homogeneous(3, 0.05, 1.5, 1.8, 0.25, Scheme.partial(0.5))
 
     def test_override_corrupts_one_term(self, monkeypatch):
-        real = analytic._e_yw_stages
+        real = analytic._stage_terms
+        calls = []
 
-        def corrupted(rates, n):
-            edge, tx, local = real(rates, n)
+        def corrupted(*args):
+            # the three UEs are evaluated one call each, in UE order
+            edge, tx, local = real(*args)
+            n = len(calls) % 3
+            calls.append(n)
             return edge, tx + 0.7 if n == 1 else tx, local
 
-        monkeypatch.setattr("aoi_mec.analytic._e_yw_stages", corrupted)
+        monkeypatch.setattr("aoi_mec.analytic._stage_terms", corrupted)
         report = validation.run_validation(self.cfg(), self.params(replications=10))
         assert not report.passed
         bad = next(r for r in report.rows if r.name == "yw_tx[1]")
@@ -633,6 +638,20 @@ class TestRunValidation:
         # the corruption must not leak into any other term
         peers = [r for r in report.rows if r.name.startswith("yw_tx") and r is not bad]
         assert all(abs(r.z) < abs(bad.z) for r in peers)
+
+    def test_rates_derived_once(self, monkeypatch):
+        # one derivation for the run, not one per UE: the closed-form side
+        # of a validation stays O(N)
+        calls = []
+        for module in (analytic, validation):
+            monkeypatch.setattr(module, "derive_rates",
+                                lambda cfg, _real=module.derive_rates: calls.append(1) or _real(cfg))
+        n = 200
+        cfg = SystemConfig(n, tuple(0.001 * (1 + k / n) for k in range(n)), 1.5, 1.8,
+                           tuple(0.25 + 0.001 * k for k in range(n)), Scheme.partial(0.5))
+        report = validation.run_validation(cfg, self.params(packets_per_ue=20, replications=2))
+        assert len(report.rows) == 2 + 3 * n
+        assert len(calls) == 1
 
     def test_exact_zero_terms_compare_exactly(self):
         cfg = SystemConfig.homogeneous(2, 0.2, 1.5, 1.8, 0.6, Scheme.edge())

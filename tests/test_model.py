@@ -17,7 +17,6 @@ from aoi_mec.model import (
     check_stability,
     derive_rates,
     is_homogeneous,
-    normalize_scheme,
     require_stable,
 )
 
@@ -57,7 +56,8 @@ class TestScheme:
             Scheme("cloud", 0.5)
 
     def test_boundary_ratios_are_legal_partials(self):
-        # Partial(0)/Partial(1) construct fine; normalize_scheme maps them.
+        # Partial(0)/Partial(1) construct fine; they differ from Local and
+        # Edge only in their label.
         assert Scheme.partial(0.0).p == 0.0
         assert Scheme.partial(1.0).p == 1.0
 
@@ -241,27 +241,3 @@ class TestStability:
         if not rep_lo.edge_ok:
             assert not rep_hi.edge_ok
 
-
-# ---------------------------------------------------------------------------
-# normalize_scheme
-# ---------------------------------------------------------------------------
-
-
-class TestNormalizeScheme:
-    def test_boundary_mapping(self):
-        cfg = homog(2, 0.1, 1.0, 1.0, 0.5, Scheme.partial(0.0))
-        assert normalize_scheme(cfg).scheme == Scheme.local()
-        cfg = homog(2, 0.1, 1.0, 1.0, 0.5, Scheme.partial(1.0))
-        assert normalize_scheme(cfg).scheme == Scheme.edge()
-
-    def test_identity_cases(self):
-        for scheme in (Scheme.local(), Scheme.edge(), Scheme.partial(0.3)):
-            cfg = homog(2, 0.1, 1.0, 1.0, 0.5, scheme)
-            assert normalize_scheme(cfg) == cfg
-
-    @given(p=ratios)
-    @settings(max_examples=50, deadline=None)
-    def test_idempotent(self, p):
-        cfg = homog(2, 0.1, 1.0, 1.0, 0.5, Scheme.partial(p))
-        once = normalize_scheme(cfg)
-        assert normalize_scheme(once) == once

@@ -1,5 +1,5 @@
 """Optimizer tests: stable-interval algebra, search-vs-closed-form
-agreement, and scheme comparison labeling."""
+agreement, and the three schemes compared side by side."""
 
 import math
 import random
@@ -12,16 +12,16 @@ from aoi_mec.model import (
     EmptyStableInterval,
     NotHomogeneous,
     Scheme,
+    SimParams,
     SystemConfig,
     check_stability,
-    normalize_scheme,
 )
 from aoi_mec import analytic as an
+from aoi_mec import cli
 from aoi_mec.optimize import (
     OptResult,
     _grid_values,
     _objective,
-    compare_schemes,
     search_p,
     stable_p_interval,
 )
@@ -78,8 +78,7 @@ class TestStableInterval:
         lo, hi = interval
         p = lo + t * (hi - lo)
         assume(lo + 1e-9 < p < hi - 1e-9)
-        probe = normalize_scheme(cfg.with_scheme(Scheme.partial(p)))
-        assert check_stability(probe).stable
+        assert check_stability(cfg.with_scheme(Scheme.partial(p))).stable
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -95,8 +94,7 @@ class TestStableInterval:
         cfg = homog(n, lh, lam * p_hi, lam * 1.5 + 0.1, lh * (1 - p_lo))
         assert stable_p_interval(cfg) == pytest.approx((p_lo, p_hi))
         for p in (p_lo * (1 - t), p_hi + (1 - p_hi) * t):
-            probe = normalize_scheme(cfg.with_scheme(Scheme.partial(p)))
-            assert not check_stability(probe).stable
+            assert not check_stability(cfg.with_scheme(Scheme.partial(p))).stable
 
 
 class TestSearchP:
@@ -203,8 +201,7 @@ class TestSearchP:
     def test_aoi_optimum_beats_grid_neighbors(self):
         cfg = homog(4, 0.25, 1.6, 2.2, 0.5)
         res = search_p(cfg, "aoi")
-        f = lambda p: an.system_metrics(
-            normalize_scheme(cfg.with_scheme(Scheme.partial(p)))).system_aoi
+        f = lambda p: an.system_metrics(cfg.with_scheme(Scheme.partial(p))).system_aoi
         for dp in (-5e-4, 5e-4):
             p = min(max(res.best_p + dp, 0.0), 1.0)
             assert res.best_value <= f(p) + 1e-12
@@ -276,45 +273,67 @@ class TestGridValues:
 
 
 class TestCompareSchemes:
+    """The three schemes side by side, as a sweep with schemes = local,
+    edge, partial:P tabulates them; P is the closed-form peak-AoI-optimal
+    ratio."""
+
+    KINDS = ("local", "edge", "partial")
+
+    @classmethod
+    def rows(cls, cfg):
+        """{kind: sweep row} of cfg under the three schemes."""
+        schemes = (Scheme.local(), Scheme.edge(), Scheme.partial(an.p_opt_paoi(cfg).p))
+        spec = cli.SweepSpec(swept="n_ues", values=(cfg.num_ues,), base=cfg, schemes=schemes,
+                             simulate=False, params=SimParams(seed=1, packets_per_ue=10))
+        return dict(zip(cls.KINDS, cli.run_sweep(spec)))
+
+    @classmethod
+    def best(cls, rows, metric):
+        """The scheme with the least metric among the stable rows; ties go
+        to the first of local, edge, partial."""
+        stable = [k for k in cls.KINDS if rows[k].status == "ok"]
+        return min(stable, key=lambda k: getattr(rows[k], metric))
+
     def test_small_n_prefers_edge(self):
-        comp = compare_schemes(homog(2, 0.1, 1.0, 3.0, 0.2))
-        assert comp.best_aoi == "edge"
-        assert comp.edge.system_aoi < comp.local.system_aoi
+        rows = self.rows(homog(2, 0.1, 1.0, 3.0, 0.2))
+        assert self.best(rows, "aoi") == "edge"
+        assert rows["edge"].aoi < rows["local"].aoi
 
     def test_large_n_drops_edge(self):
-        comp = compare_schemes(homog(9, 0.1, 1.0, 3.0, 0.2))
-        assert comp.best_aoi != "edge"
-        assert comp.local.system_aoi < comp.edge.system_aoi
+        rows = self.rows(homog(9, 0.1, 1.0, 3.0, 0.2))
+        assert self.best(rows, "aoi") != "edge"
+        assert rows["local"].aoi < rows["edge"].aoi
 
-    def test_unstable_scheme_reported_infinite(self):
+    def test_unstable_scheme_reported_unstable(self):
         # lam = 1.0 = mu_b: the edge scheme cannot be stable
-        comp = compare_schemes(homog(10, 0.1, 1.0, 3.0, 0.2))
-        assert math.isinf(comp.edge.system_aoi)
-        assert math.isinf(comp.edge.per_ue_paoi[0])
-        assert comp.best_aoi != "edge"
-        assert comp.best_paoi != "edge"
+        rows = self.rows(homog(10, 0.1, 1.0, 3.0, 0.2))
+        assert rows["edge"].status == "unstable"
+        assert rows["edge"].aoi is None and rows["edge"].paoi is None
+        assert self.best(rows, "aoi") != "edge"
+        assert self.best(rows, "paoi") != "edge"
 
-    def test_partial_uses_closed_form_ratio(self):
-        cfg = homog(6, 0.2, 1.5, 1.8, 0.25)
-        comp = compare_schemes(cfg)
-        assert comp.partial_p == an.p_opt_paoi(cfg).p
-        probe = normalize_scheme(cfg.with_scheme(Scheme.partial(comp.partial_p)))
-        assert comp.partial.system_paoi == pytest.approx(
-            an.system_metrics(probe).system_paoi, rel=1e-12)
-
-    def test_heterogeneous_rejected(self):
-        cfg = SystemConfig(2, (0.1, 0.2), 1.0, 3.0, (1.0, 1.0),
-                           Scheme.partial(0.5))
-        with pytest.raises(NotHomogeneous):
-            compare_schemes(cfg)
+    @pytest.mark.parametrize("cfg", [homog(2, 0.1, 1.0, 3.0, 0.2), homog(6, 0.2, 1.5, 1.8, 0.25),
+                                     homog(9, 0.1, 1.0, 3.0, 0.2), homog(3, 0.05, 1.5, 1.8, 0.25)])
+    def test_each_row_is_system_metrics_of_its_scheme(self, cfg):
+        rows = self.rows(cfg)
+        schemes = (Scheme.local(), Scheme.edge(), Scheme.partial(an.p_opt_paoi(cfg).p))
+        for kind, scheme in zip(self.KINDS, schemes):
+            row, at = rows[kind], cfg.with_scheme(scheme)
+            assert row.cfg == at
+            if not check_stability(at).stable:
+                assert row.status == "unstable"
+                continue
+            m, b = an.system_metrics(at), an.aoi_bounds(at)
+            assert (row.aoi, row.paoi) == (m.system_aoi, m.system_paoi), kind
+            assert (row.aoi_low, row.aoi_up, row.gap_ratio) == (b.lower, b.upper, b.gap_ratio)
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(0.1, 10.0))
     def test_labels_invariant_under_time_rescaling(self, scale):
         base = homog(4, 0.15, 1.2, 2.0, 0.4)
         scaled = homog(4, 0.15 * scale, 1.2 * scale, 2.0 * scale, 0.4 * scale)
-        a, b = compare_schemes(base), compare_schemes(scaled)
-        assert (a.best_aoi, a.best_paoi) == (b.best_aoi, b.best_paoi)
-        assert b.local.system_aoi == pytest.approx(a.local.system_aoi / scale,
-                                                   rel=1e-9)
-        assert b.partial_p == pytest.approx(a.partial_p, rel=1e-9)
+        a, b = self.rows(base), self.rows(scaled)
+        assert ([self.best(a, m) for m in ("aoi", "paoi")]
+                == [self.best(b, m) for m in ("aoi", "paoi")])
+        assert b["local"].aoi == pytest.approx(a["local"].aoi / scale, rel=1e-9)
+        assert b["partial"].cfg.scheme.p == pytest.approx(a["partial"].cfg.scheme.p, rel=1e-9)
