@@ -10,11 +10,12 @@ Library layout:
     cli        - command-line front end (analytic / sweep / validate / optimize)
 
 `import aoi_mec` loads model and analytic only, which need nothing beyond
-the standard library. The names that need numpy are served on
-first access (PEP 562): Estimate, SimResult and simulate_mec from
-simulate; OptResult, stable_p_interval and search_p from optimize;
-run_validation from validation. So are the submodules simulate, optimize
-and validation themselves.
+the standard library. The other names are served on first access
+(PEP 562): Estimate, SimResult and simulate_mec from simulate and
+run_validation from validation, which need numpy; OptResult,
+stable_p_interval and search_p from optimize, which loads numpy only for
+a search grid of optimize.ARRAY_MIN_POINTS points or more. So are the
+submodules simulate, optimize and validation themselves.
 """
 
 import importlib

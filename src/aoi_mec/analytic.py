@@ -127,6 +127,10 @@ class POptResult:
 # ---------------------------------------------------------------------------
 # Correlation terms.
 #
+# The raw formulas square by multiplication, never with ** 2: numpy squares
+# arrays that way, while a float's ** 2 calls the C library's pow, which
+# can be 1 ulp off. So the float and array passes agree to the bit.
+#
 # Rate symbols used throughout the raw formulas:
 #   lam - total generation rate, ln - tagged UE's generation rate,
 #   lo  - combined rate of the other UEs (lam - ln),
@@ -160,7 +164,8 @@ def _e_yw_first_stage(ln, lo, a, sqrt=math.sqrt):
     q = eta * eta + 2.0 * a * eta + a * b
     # "others" vanishes at lo = 0, leaving the single-source M/M/1 value
     others = lo * (2.0 * eta * eta + 3.0 * a * eta + a * b) / (a * eta * (eta + b))
-    own = eta * (q + g * lo) / (g * (g + eta) ** 2)
+    h = g + eta
+    own = eta * (q + g * lo) / (g * (h * h))
     return (a + eta) / ((eta + b) * q) * (others + own)
 
 
@@ -224,7 +229,8 @@ def _phi_bju_raw(ln, lo, lam, a, d, u):
     c, e, v, x = a - lam, d - lam, u - ln, a - lo
     s, p = c + (d - lo), e + u
     big_d = d * x + a * v
-    t12 = ln / v * c / s * x / d * ((d + v) / p) ** 2 * (big_d + d * p) / big_d / big_d
+    w = (d + v) / p
+    t12 = ln / v * c / s * x / d * (w * w) * (big_d + d * p) / big_d / big_d
     # b is the published denominator root over (a + e)(d + v)
     b = x + lo * (d * e + c * v + v * (d + e)) / ((a + e) * (d + v))
     t3 = ln / v * a / (a + e) * d / (d + v) / b / b

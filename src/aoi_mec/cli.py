@@ -596,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--reps", type=int, default=None, help="replications")
 
     def resolution(text):
-        from . import optimize  # here, so that `analytic` loads no numpy
+        from . import optimize  # here, so that `analytic` does not import it
         if not optimize.REFINE_TOL <= float(text) <= 0.5:
             raise argparse.ArgumentTypeError(
                 f"must lie in [{optimize.REFINE_TOL:g}, 0.5], got {text}")

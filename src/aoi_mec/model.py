@@ -169,10 +169,6 @@ class DerivedRates:
     eff_local: tuple[float, ...]
     tx_rate: float
 
-    def gen_rate(self, ue_index: int) -> float:
-        """Per-UE generation rate lambda_n."""
-        return self.gen_rates[ue_index]
-
 
 def derive_rates(cfg: SystemConfig) -> DerivedRates:
     """Compute aggregate and effective rates; boundary p maps to +inf rates."""

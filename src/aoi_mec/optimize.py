@@ -7,21 +7,23 @@ followed by local refinement. Peak AoI is convex in p, so refinement is
 always safe; AoI is refined only after the grid scan shows a single
 local minimum, otherwise the grid argmin is returned as-is.
 
-The scan is one numpy evaluation of analytic's closed forms over the
-whole grid; only p = 0 and p = 1, where a stage is a pass-through, go
-through the scalar system_metrics. The refinement is an in-house golden
-section search (Kiefer, "Sequential minimax search for a maximum",
-1953) of the grid cells on both sides of the grid winner, with scalar
-system_metrics calls.
+The scan evaluates analytic's closed forms at every stable interior grid
+point; only p = 0 and p = 1, where a stage is a pass-through, go through
+the scalar system_metrics. It runs on numpy arrays when numpy is already
+loaded or the grid has at least ARRAY_MIN_POINTS points, and on Python
+floats otherwise, with the same values, so a cold `aoi-mec optimize`
+loads no numpy. The refinement is an in-house golden section search
+(Kiefer, "Sequential minimax search for a maximum", 1953) of the grid
+cells on both sides of the grid winner, with scalar system_metrics calls.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .model import (
     PARTIAL,
@@ -37,6 +39,15 @@ from . import analytic
 # search_p accepts, since a finer grid resolves nothing the refinement
 # does not.
 REFINE_TOL = 1e-6
+
+# Fewest grid points for which search_p imports numpy for its scan when
+# numpy is not loaded yet. Measured on 2 cores, Python 3.11, numpy 2.4,
+# with cold `aoi-mec optimize` commands (two searches over [0, 1]): the
+# float scan costs about 4.3 us per grid point, the import and the array
+# scan a flat ~58 ms plus 0.4 us per point. They break even at 16,000 to
+# 17,000 points; at 1,001 points the command takes 85 against 143 ms,
+# at 50,000 points 298 against 162 ms.
+ARRAY_MIN_POINTS = 16_000
 
 # golden-section constants: the section ratio 2/(1 + sqrt(5)) to scipy's
 # eight digits, and its complement
@@ -88,13 +99,31 @@ def stable_p_interval(cfg: SystemConfig) -> Optional[tuple[float, float]]:
     return (p_min, p_max)
 
 
-def _single_local_minimum(values: np.ndarray) -> bool:
-    # signs of the nonzero first differences must read -...-+...+
-    diffs = np.diff(values)
-    signs = np.sign(diffs[diffs != 0.0])
+def _float_grid(p_min: float, p_max: float, steps: int) -> list[float]:
+    """np.linspace(p_min, p_max, steps + 1) as a list, by its own arithmetic."""
+    step = (p_max - p_min) / steps
+    return [i * step + p_min for i in range(steps)] + [p_max]
+
+
+def _single_local_minimum(values, stable) -> bool:
+    """Whether the stable grid values have one local minimum.
+
+    The signs of their nonzero first differences must read -...-+...+.
+    values and stable are numpy arrays or lists, as _grid_values returns.
+    """
+    if isinstance(values, list):
+        values = [v for v, ok in zip(values, stable) if ok]
+        diffs = (y - x for x, y in zip(values, values[1:]))
+        # np.sign's values: a nan difference keeps a nan sign
+        signs = [1.0 if d > 0.0 else -1.0 if d < 0.0 else d for d in diffs if d != 0.0]
+        transitions = sum(s != t for s, t in zip(signs, signs[1:]))
+    else:
+        np = sys.modules["numpy"]
+        diffs = np.diff(values[stable])
+        signs = np.sign(diffs[diffs != 0.0])
+        transitions = int(np.count_nonzero(signs[1:] != signs[:-1]))
     if len(signs) == 0:
         return True  # flat: any point is the minimum
-    transitions = int(np.count_nonzero(signs[1:] != signs[:-1]))
     if transitions > 1:
         return False
     if transitions == 1:
@@ -102,33 +131,49 @@ def _single_local_minimum(values: np.ndarray) -> bool:
     return True  # monotone: the minimum sits at an endpoint
 
 
-def _grid_values(cfg: SystemConfig, p: np.ndarray,
-                 objective: str) -> tuple[np.ndarray, np.ndarray]:
+def _grid_values(cfg: SystemConfig, p, objective: str):
     """Objective values on the ratio grid p, and the stability mask.
 
-    Stable interior points take one array evaluation of the closed forms
-    (one UE: the UEs are identical). A stable p = 0 or p = 1 goes through
-    the scalar system_metrics, which takes the local or edge scheme there.
+    p is a numpy array or a list of floats; the values and the mask come
+    back as the same kind. Stable interior points go through the closed
+    forms of one UE (the UEs are identical): one array evaluation, or one
+    float evaluation per point. A stable p = 0 or p = 1 goes through the
+    scalar system_metrics, which takes the local or edge scheme there.
     The mask uses check_stability's expressions; unstable points get nan.
     """
     ln = cfg.gen_rates[0]
     lam = math.fsum(cfg.gen_rates)
     lo = lam - ln
     d = cfg.tx_rate
+
+    def interior(a, u, sqrt=math.sqrt):
+        if objective == "paoi":
+            x = analytic._paoi(ln, lam, a, d, u)
+        else:
+            yw = analytic._stage_terms(PARTIAL, ln, lo, lam, a, d, u, sqrt)
+            x = analytic._aoi(ln, a, d, u, yw)
+        # the N equal UEs: N * x rounds the exact sum once, as math.fsum does
+        return (cfg.num_ues * x) / cfg.num_ues
+
+    if isinstance(p, list):
+        values, stable = [], []
+        for x in p:
+            # the +inf rates of p = 0 and p = 1, as numpy's division gives
+            a = cfg.edge_rate / x if x else math.inf
+            u = cfg.local_rates[0] / (1.0 - x) if x != 1.0 else math.inf
+            ok = lam < a and lam < d and ln < u
+            stable.append(ok)
+            values.append(math.nan if not ok else interior(a, u) if 0.0 < x < 1.0
+                          else _objective(cfg, objective, x))
+        return values, stable
+    np = sys.modules["numpy"]
     with np.errstate(divide="ignore"):  # the +inf rates of p = 0 and p = 1
         a = cfg.edge_rate / p
         u = cfg.local_rates[0] / (1.0 - p)
     stable = (lam < a) & (lam < d) & (ln < u)
     fast = stable & (p > 0.0) & (p < 1.0)
-    a, u = a[fast], u[fast]
-    if objective == "paoi":
-        x = analytic._paoi(ln, lam, a, d, u)
-    else:
-        yw = analytic._stage_terms(PARTIAL, ln, lo, lam, a, d, u, np.sqrt)
-        x = analytic._aoi(ln, a, d, u, yw)
     values = np.full(len(p), np.nan)
-    # the N equal UEs: N * x rounds the exact sum once, as math.fsum does
-    values[fast] = (cfg.num_ues * x) / cfg.num_ues
+    values[fast] = interior(a[fast], u[fast], np.sqrt)
     for i in np.flatnonzero(stable & ~fast):
         values[i] = _objective(cfg, objective, float(p[i]))
     return values, stable
@@ -192,13 +237,22 @@ def search_p(cfg: SystemConfig, objective: str = "paoi",
     # the grid when the interval is narrower than the resolution.
     p_min, p_max = interval
     steps = max(2, int(math.ceil((p_max - p_min) / resolution)))
-    p = np.linspace(p_min, p_max, steps + 1)
+    np = (importlib.import_module("numpy") if steps + 1 >= ARRAY_MIN_POINTS
+          else sys.modules.get("numpy"))
+    p = (_float_grid(p_min, p_max, steps) if np is None
+         else np.linspace(p_min, p_max, steps + 1))
     values, stable = _grid_values(cfg, p, objective)
-    evals = int(np.count_nonzero(stable))
-    best = int(np.nanargmin(values))  # the first minimum: ties go to smaller p
+    if np is None:
+        evals = stable.count(True)
+        # np.nanargmin's rule: the first minimum, with nan read as +inf
+        keys = [math.inf if v != v else v for v in values]
+        best = keys.index(min(keys))
+    else:
+        evals = int(np.count_nonzero(stable))
+        best = int(np.nanargmin(values))  # the first minimum: ties go to smaller p
     best_p, best_value = float(p[best]), float(values[best])
 
-    refine = objective == "paoi" or _single_local_minimum(values[stable])
+    refine = objective == "paoi" or _single_local_minimum(values, stable)
     method = "golden" if refine else "grid"
     if refine:
         def counted(x: float) -> float:

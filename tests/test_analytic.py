@@ -759,7 +759,8 @@ class TestArrayPass:
                     values += len(pairs)
                     differ += sum(w != g for w, g in pairs)
         print(f"array pass: {differ} of {values} values not bit-equal to the loop")
-        assert differ <= values // 1000
+        # the kernel squares by multiplication, as numpy does, never with pow
+        assert differ == 0
 
     def test_every_ue_flagged_on_the_edge_scheme(self):
         # a == d: every UE is on the singularity

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import aoi_mec
-from aoi_mec import analytic, cli, validation
+from aoi_mec import analytic, cli, optimize, validation
 from aoi_mec.model import ConfigParseError, Scheme, SystemConfig
 from aoi_mec.simulate import SimParams
 
@@ -455,8 +455,9 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "False"
 
 
-# The closed forms need only the standard library; numpy loads with the
-# simulator and the optimizer, on first use. scipy is for the tests only.
+# The closed forms and the optimizer need only the standard library; numpy
+# loads with the simulator, on first use, and with a search grid of at
+# least optimize.ARRAY_MIN_POINTS points. scipy is for the tests only.
 HEAVY = "sorted(m for m in ('numpy', 'scipy') if m in sys.modules)"
 
 
@@ -474,13 +475,55 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 [] False"
 
-    def test_optimize_command_loads_numpy_only(self, tmp_path):
+    def test_optimize_command_loads_neither_numpy_nor_scipy(self, tmp_path):
         path = write(tmp_path, "r.cfg", LOW_UTIL_CFG)
         proc = run_python("-c", "import sys; from aoi_mec import cli; "
                                 f"code = cli.main(['optimize', '--config', {path!r}]); "
-                                f"print(code, {HEAVY})")
+                                f"print(code, {HEAVY}, 'concurrent.futures' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 ['numpy']"
+        assert proc.stdout.splitlines()[-1] == "0 [] False"
+
+    def test_fine_optimize_resolution_loads_numpy_and_prints_the_warm_values(self, tmp_path):
+        # a grid of ARRAY_MIN_POINTS points or more is scanned on arrays,
+        # with numpy imported for it; the stable interval here is [0, 1]
+        path = write(tmp_path, "r.cfg", LOW_UTIL_CFG)
+        resolution = repr(1.0 / (optimize.ARRAY_MIN_POINTS - 1))
+        run = ("from aoi_mec import cli; "
+               f"code = cli.main(['optimize', '--config', {path!r}, "
+               f"'--resolution', {resolution!r}]); print(code, {HEAVY})")
+        cold = run_python("-c", "import sys; " + run)
+        warm = run_python("-c", "import sys, numpy; " + run)
+        assert cold.returncode == 0, cold.stderr
+        assert warm.returncode == 0, warm.stderr
+        assert cold.stdout.splitlines()[-1] == "0 ['numpy']"
+        assert len(cold.stdout.splitlines()) > 6 and cold.stdout == warm.stdout
+
+    def test_search_p_cold_and_warm_agree(self):
+        # the float grid without numpy, the array grid with it
+        script = f"""if True:
+            import random, sys
+            from aoi_mec.model import Scheme, SystemConfig
+            from aoi_mec.optimize import search_p, stable_p_interval
+            draw, done = random.Random(2035), 0
+            while done < 24:
+                n, lh = draw.randint(1, 8), draw.uniform(0.02, 0.5)
+                cfg = SystemConfig.homogeneous(
+                    n, lh, draw.uniform(0.2, 2.0) * n * lh, draw.uniform(1.05, 3.0) * n * lh,
+                    draw.uniform(0.3, 3.0) * lh, Scheme.partial(0.5))
+                if stable_p_interval(cfg) is None:
+                    continue
+                done += 1
+                for objective in ("aoi", "paoi"):
+                    for resolution in (1e-3, 0.0137, 0.05):
+                        print(repr(search_p(cfg, objective, resolution)))
+            print({HEAVY})"""
+        cold = run_python("-c", script)
+        warm = run_python("-c", "import numpy\n" + script)
+        assert cold.returncode == 0, cold.stderr
+        assert warm.returncode == 0, warm.stderr
+        cold_lines, warm_lines = cold.stdout.splitlines(), warm.stdout.splitlines()
+        assert (cold_lines[-1], warm_lines[-1]) == ("[]", "['numpy']")
+        assert len(cold_lines) == 24 * 6 + 1 and cold_lines[:-1] == warm_lines[:-1]
 
     def test_library_source_never_imports_scipy(self):
         package = os.path.dirname(aoi_mec.__file__)

@@ -151,7 +151,7 @@ class TestDeriveRates:
         assert r.total_gen == pytest.approx(lam, rel=1e-15)
         for n, ln in enumerate(cfg.gen_rates):
             assert r.others_gen[n] == r.total_gen - ln  # exact by construction
-            assert r.gen_rate(n) == ln
+            assert r.gen_rates[n] == ln
         assert r.eff_edge == pytest.approx(8.0)
         assert r.eff_local == tuple(pytest.approx(mu / 0.75) for mu in cfg.local_rates)
 

@@ -1,12 +1,15 @@
 """Optimizer tests: stable-interval algebra, search-vs-closed-form
-agreement, and the three schemes compared side by side."""
+agreement, the float grid against the array grid, and the three schemes
+compared side by side."""
 
+import contextlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aoi_mec.model import (
     EmptyStableInterval,
@@ -20,6 +23,7 @@ from aoi_mec import analytic as an
 from aoi_mec import cli
 from aoi_mec.optimize import (
     OptResult,
+    _float_grid,
     _grid_values,
     _objective,
     search_p,
@@ -270,6 +274,64 @@ class TestGridValues:
                     inexact += got != want
         print(f"grid vs system_metrics: {inexact} of {points} values not bit-equal")
         assert points > 10_000
+
+
+@contextlib.contextmanager
+def numpy_unloaded():
+    """What search_p sees in a process that has not imported numpy."""
+    saved = sys.modules.pop("numpy")
+    try:
+        yield
+    finally:
+        sys.modules["numpy"] = saved
+
+
+@st.composite
+def grid_cases(draw):
+    """A homogeneous config with a stable ratio interval, and a resolution.
+
+    An edge-rate ratio below 1 makes p_max = mu_B / lambda an active
+    (unstable) interval end, one above 1 clamps it at 1; a local-rate
+    ratio below 1 makes p_min = 1 - mu_h / lambda_h active, one above 1
+    clamps it at 0. The coarser resolutions make many intervals narrower
+    than one cell.
+    """
+    n = draw(st.integers(1, 8))
+    lh = draw(st.floats(0.01, 0.5))
+    cfg = homog(n, lh, draw(st.floats(0.1, 2.5)) * n * lh,
+                draw(st.floats(1.05, 3.0)) * n * lh, draw(st.floats(0.1, 3.0)) * lh)
+    assume(stable_p_interval(cfg) is not None)
+    return cfg, draw(st.sampled_from([1e-3, 0.0137, 0.05, 0.5]))
+
+
+class TestGridPaths:
+    """search_p's float grid, taken while numpy is not loaded, against its
+    array grid."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=grid_cases())
+    @example(case=(homog(6, 0.2, 1.5, 1.8, 0.25), 1e-3))  # [0, 1]; singular at 0.75
+    @example(case=(homog(4, 0.5, 1.0, 3.0, 0.3), 0.01))  # [0.4, 0.5], both ends active
+    @example(case=(homog(2, 0.3, 0.45, 1.0, 0.45), 0.01))  # [0, 0.75], p_max active
+    @example(case=(homog(2, 0.3, 1.2, 1.0, 0.15), 0.01))  # [0.5, 1], p_min active
+    @example(case=(homog(4, 0.5, 0.98, 3.0, 0.26), 0.05))  # [0.48, 0.49]: one cell
+    @example(case=(homog(3, 0.4572, 1.0209, 2.171, 0.1204), 0.05))  # p_min stable by rounding
+    @example(case=(homog(7, 0.5, 3.5, 7.0, 0.25), 1e-3))  # at p = 0.86, pow(x, 2) != x * x
+    def test_float_grid_is_the_array_grid(self, case):
+        cfg, resolution = case
+        lo, hi = stable_p_interval(cfg)
+        steps = max(2, int(math.ceil((hi - lo) / resolution)))
+        grid = np.linspace(lo, hi, steps + 1)
+        assert _float_grid(lo, hi, steps) == grid.tolist()
+        for objective in ("aoi", "paoi"):
+            values, stable = _grid_values(cfg, grid.tolist(), objective)
+            want, want_stable = _grid_values(cfg, grid, objective)
+            assert stable == want_stable.tolist()
+            assert np.array_equal(values, want, equal_nan=True)
+            with numpy_unloaded():
+                cold = search_p(cfg, objective, resolution)
+            # best_p, best_value, method, evaluations and the interval
+            assert cold == search_p(cfg, objective, resolution)
 
 
 class TestCompareSchemes:
